@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra for small matrices.
 
-Everything here operates on plain float64 numpy arrays. Eigendecomposition
-uses cyclic Jacobi rotations, which is robust and plenty fast for the
-matrix sizes this package works with (d up to a few hundred).
+Everything here operates on plain float64 numpy arrays. The functions are
+thin wrappers over numpy's LAPACK routines that add the boundary checks the
+package relies on: inputs must be finite, and a matrix that should be
+symmetric but is not (beyond round-off) is rejected as an accumulator bug.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
 
 
 class LinAlgError(RuntimeError):
-    """Raised on invalid numeric input or a failed matrix iteration."""
+    """Raised on invalid numeric input or a failed factorization."""
 
 
 def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
@@ -64,70 +65,14 @@ class EigenDecomposition:
         return (self.vectors * self.values) @ self.vectors.T
 
 
-def _frobenius(m: np.ndarray) -> float:
-    return float(np.sqrt((m * m).sum()))
-
-
-def sym_eigen(
-    m: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-    name: str = "matrix",
-) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
-
-    Converges when the off-diagonal Frobenius mass drops below
-    ``tol * ||m||_F``.
-    """
-    a = symmetrize(m, name=name).copy()
-    d = a.shape[0]
-    u = np.eye(d)
-    total = _frobenius(a)
-    if d == 1 or total == 0.0:
-        values = np.diag(a).copy()
-        order = np.argsort(values)[::-1]
-        return EigenDecomposition(u[:, order], values[order])
-
-    threshold = tol * total
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        off = _frobenius(a - np.diag(np.diag(a)))
-        if off <= threshold:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * u[:, p] - s * u[:, q]
-                rot_q = s * u[:, p] + c * u[:, q]
-                u[:, p], u[:, q] = rot_p, rot_q
-    else:
-        off = _frobenius(a - np.diag(np.diag(a)))
-        if off <= threshold:
-            converged = True
-    if not converged:
-        raise LinAlgError(
-            f"Jacobi iteration for {name} did not converge after "
-            f"{max_sweeps} sweeps (off-diagonal mass {off:.3e})"
-        )
-    values = np.diag(a).copy()
-    order = np.argsort(values)[::-1]
-    return EigenDecomposition(np.ascontiguousarray(u[:, order]), values[order])
+def sym_eigen(m: np.ndarray, name: str = "matrix") -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``)."""
+    a = symmetrize(m, name=name)
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise LinAlgError(f"eigendecomposition of {name} failed: {exc}") from exc
+    return EigenDecomposition(np.ascontiguousarray(vectors[:, ::-1]), values[::-1].copy())
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:

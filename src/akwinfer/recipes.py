@@ -1,7 +1,8 @@
 """Named experiment recipes: frozen configs for the standard tables/figures.
 
 Each recipe maps to one config dict (or a list of dicts for sweep
-recipes). Names ending in ``-d100`` are long-running.
+recipes). Names ending in ``-d20`` or ``-d100`` are long-running
+(``LONG_RUNNING``).
 """
 
 from __future__ import annotations

@@ -522,14 +522,15 @@ def _method_records(
     cfg: ExperimentConfig,
     st: _ChunkState,
     c_true: np.ndarray,
+    c_norm: float,
     *,
     checkpoint_n: int | None = None,
 ) -> list[ReplicationRecord]:
-    """Inference records for every replication in the chunk at its current n."""
+    """Inference records for every replication in the chunk at its current n;
+    ``c_norm`` is the spectral norm of ``c_true``."""
     w, d = cfg.w, cfg.model.dim
     target = float(w @ cfg.model.theta_star)
     denom = float(np.linalg.norm(cfg.model.theta_star)) or 1.0
-    c_norm = spectral_norm(c_true)
     records = []
     for j, rep in enumerate(st.reps):
         n_j = int(st.n_done[j])
@@ -580,8 +581,39 @@ def _method_records(
     return records
 
 
+def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate pairs k <= l, and the (d, d) map from (k, l) to its pair."""
+    rows, cols = np.triu_indices(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    return rows, cols, pair
+
+
+def _pair_losses(
+    oracle: models.LossOracle,
+    u0: np.ndarray,
+    y: np.ndarray,
+    x: np.ndarray,
+    h: float,
+    index: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Four-point pair losses ``f(u0 + h (x_k + x_l))``, shape (C, d, d).
+
+    The loss is evaluated once per unordered pair and gathered into both
+    (k, l) and (l, k): IEEE addition commutes, so this is bit-identical to
+    evaluating all d² entries.
+    """
+    rows, cols, pair = index
+    upper = oracle.linpred_loss(u0[:, None] + h * (x[:, rows] + x[:, cols]), y[:, None])
+    return upper[:, pair]
+
+
 def _run_chunk(
-    cfg: ExperimentConfig, rep_indices: np.ndarray, c_true: np.ndarray, block: int = 1024
+    cfg: ExperimentConfig,
+    rep_indices: np.ndarray,
+    c_true: np.ndarray,
+    c_norm: float,
+    block: int = 1024,
 ) -> tuple[list[ReplicationRecord], list[ReplicationRecord], "_ChunkState"]:
     oracle = models.make_oracle(cfg.model)
     dist, mode, sched = cfg.dist, cfg.mode, cfg.sched
@@ -592,7 +624,7 @@ def _run_chunk(
     want_scaling = "random_scaling" in cfg.inference
     mask_p = cfg.plugin.p if want_plugin else None
     theta_star = cfg.model.theta_star
-    eye = np.eye(d)
+    pairs = _pair_index(d)
     checkpoint_records: list[ReplicationRecord] = []
     marks = list(cfg.checkpoints)
 
@@ -645,10 +677,7 @@ def _run_chunk(
                 if cfg.algorithm == "rm":
                     f0 = oracle.linpred_loss(u0, y)
                 fs = oracle.linpred_loss(u0[:, None] + h * x, y[:, None])
-                fp = oracle.linpred_loss(
-                    u0[:, None, None] + h * (x[:, :, None] + x[:, None, :]),
-                    y[:, None, None],
-                )
+                fp = _pair_losses(oracle, u0, y, x, h, pairs)
                 gblock = (
                     fp - fs[:, :, None] - fs[:, None, :] + f0[:, None, None]
                 ) / (h * h)
@@ -686,16 +715,18 @@ def _run_chunk(
             if marks and i == marks[0]:
                 marks.pop(0)
                 checkpoint_records.extend(
-                    _method_records(cfg, st, c_true, checkpoint_n=i)
+                    _method_records(cfg, st, c_true, c_norm, checkpoint_n=i)
                 )
-    return _method_records(cfg, st, c_true), checkpoint_records, st
+    return _method_records(cfg, st, c_true, c_norm), checkpoint_records, st
 
 
 def replication_states(cfg: ExperimentConfig, block: int = 1024) -> _ChunkState:
     """Run every replication and return the raw final-state arrays
     (averaged iterates, accumulators) for direct inspection. ``block``
     bounds the tape length held in memory at once."""
-    _, _, st = _run_chunk(cfg, np.arange(cfg.replications), _oracle_truth(cfg), block)
+    c_true = _oracle_truth(cfg)
+    reps = np.arange(cfg.replications)
+    _, _, st = _run_chunk(cfg, reps, c_true, spectral_norm(c_true), block)
     return st
 
 
@@ -713,13 +744,14 @@ def run_experiment(
     """
     started = time.perf_counter()
     c_true = _oracle_truth(cfg)
+    c_norm = spectral_norm(c_true)
     del workers  # chunking is deliberately worker-independent
     chunk = min(cfg.replications, 256)
     records: list[ReplicationRecord] = []
     checkpoint_records: list[ReplicationRecord] = []
     all_reps = np.arange(cfg.replications)
     for lo in range(0, cfg.replications, chunk):
-        recs, cps, _ = _run_chunk(cfg, all_reps[lo:lo + chunk], c_true)
+        recs, cps, _ = _run_chunk(cfg, all_reps[lo:lo + chunk], c_true, c_norm)
         records.extend(recs)
         checkpoint_records.extend(cps)
     checkpoint_records.sort(key=lambda r: (r.n, r.replication, METHODS.index(r.method)))

@@ -40,7 +40,7 @@ def test_eigen_2x2_hand_solved():
     assert np.allclose(np.abs(v0), [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [2, 5, 12, 20])
+@pytest.mark.parametrize("d", [2, 5, 12, 20, 100])
 def test_eigen_random_reconstruction(d):
     rng = np.random.default_rng(d)
     a = rng.standard_normal((d, d))
@@ -50,6 +50,22 @@ def test_eigen_random_reconstruction(d):
     assert err <= 1e-8 * max(1.0, np.abs(m).max())
     assert np.abs(eig.vectors.T @ eig.vectors - np.eye(d)).max() < 1e-10
     assert np.all(np.diff(eig.values) <= 1e-12)
+
+
+def test_eigen_rejects_nan_and_gross_asymmetry():
+    with pytest.raises(nk.LinAlgError):
+        nk.sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(nk.LinAlgError):
+        nk.sym_eigen(np.array([[1.0, 2.0], [3.0, 1.0]]))
+
+
+def test_eigen_reraises_lapack_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(nk.np.linalg, "eigh", fail)
+    with pytest.raises(nk.LinAlgError, match="curvature"):
+        nk.sym_eigen(np.eye(2), name="curvature")
 
 
 def test_eigen_permutation_invariant_spectrum():
