@@ -8,6 +8,7 @@ and without replacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "DirectionDistribution",
     "QueryMode",
     "random_orthonormal",
+    "draw_directions",
     "sample",
     "sample_batch",
     "analytic_q",
@@ -122,6 +124,39 @@ def _check_mode(dist: DirectionDistribution, mode: QueryMode) -> None:
             )
 
 
+def draw_directions(
+    rng: np.random.Generator,
+    dist: DirectionDistribution,
+    mode: QueryMode,
+    size: int,
+) -> np.ndarray:
+    """Direction vectors for ``size`` iterations, shape (size, m, dim).
+
+    Without replacement each iteration's indices are a uniformly random
+    ordered m-subset of the basis (argsort of uniform keys).
+    """
+    d, m = dist.dim, mode.m
+    kind = dist.kind
+    if kind in ("gaussian", "spherical"):
+        g = rng.standard_normal((size, m, d))
+        if kind == "gaussian":
+            return g
+        norms = np.sqrt((g * g).sum(axis=2, keepdims=True))
+        return math.sqrt(d) * g / norms
+    if kind in BASIS_KINDS:
+        if mode.without_replacement:
+            idx = np.argsort(rng.random((size, d)), axis=1)[:, :m]
+        else:
+            idx = rng.integers(0, d, size=(size, m))
+        if kind == "canonical":
+            return math.sqrt(d) * np.eye(d)[idx]
+        return math.sqrt(d) * dist.u.T[idx]
+    # nonuniform canonical directions via inverse-CDF lookup
+    cum = np.cumsum(dist.p)
+    idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
+    return np.eye(d)[idx] / np.sqrt(dist.p)[idx][:, :, None]
+
+
 def sample(dist: DirectionDistribution, rng: np.random.Generator) -> np.ndarray:
     """Draw one direction vector."""
     return sample_batch(dist, QueryMode(m=1), rng)[0]
@@ -130,33 +165,9 @@ def sample(dist: DirectionDistribution, rng: np.random.Generator) -> np.ndarray:
 def sample_batch(
     dist: DirectionDistribution, mode: QueryMode, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``mode.m`` direction vectors, shape (m, dim).
-
-    Without replacement the indices are a uniformly random ordered
-    m-subset of the basis (partial Fisher-Yates via ``rng.permutation``).
-    """
+    """Draw ``mode.m`` direction vectors for one iteration, shape (m, dim)."""
     _check_mode(dist, mode)
-    d, m = dist.dim, mode.m
-    root_d = np.sqrt(d)
-    if dist.kind == "gaussian":
-        return rng.standard_normal((m, d))
-    if dist.kind == "spherical":
-        g = rng.standard_normal((m, d))
-        return g * (root_d / np.sqrt((g * g).sum(axis=1)))[:, None]
-    if dist.kind in BASIS_KINDS and mode.without_replacement:
-        idx = rng.permutation(d)[:m]
-    elif dist.kind == "canonical" or dist.kind == "orthonormal":
-        idx = rng.integers(0, d, size=m)
-    else:  # nonuniform
-        idx = rng.choice(d, size=m, p=dist.p)
-        out = np.zeros((m, d))
-        out[np.arange(m), idx] = 1.0 / np.sqrt(dist.p[idx])
-        return out
-    if dist.kind == "canonical":
-        out = np.zeros((m, d))
-        out[np.arange(m), idx] = root_d
-        return out
-    return root_d * dist.u[:, idx].T
+    return draw_directions(rng, dist, mode, 1)[0]
 
 
 def analytic_q(dist: DirectionDistribution, s: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The gradient surrogate is a forward finite difference of the loss along
 random directions; ``step``/``run`` form the scalar reference
-implementation (the experiment harness has a vectorized twin that is
-tested against this one).
+implementation. The experiment harness runs the same recurrence
+vectorized over replications (tested against this one) and shares the
+divergence rule ``within_guard`` with it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .models import LossOracle
 __all__ = [
     "DIVERGENCE_LIMIT",
     "DivergenceError",
+    "within_guard",
     "Schedules",
     "KwRunState",
     "kw_gradient",
@@ -33,6 +35,12 @@ DIVERGENCE_LIMIT = 1e8
 
 class DivergenceError(RuntimeError):
     """Raised when an iterate escapes the divergence guard."""
+
+
+def within_guard(theta: np.ndarray) -> np.ndarray:
+    """The divergence rule, over the last axis: an iterate is kept while it
+    is finite and ``max|theta| <= DIVERGENCE_LIMIT``."""
+    return np.isfinite(theta).all(axis=-1) & (np.abs(theta).max(axis=-1) <= DIVERGENCE_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def multi_query_gradient(
 
 def _post_update(state: KwRunState, g: np.ndarray, eta: float) -> None:
     theta = state.theta - eta * g
-    if np.abs(theta).max() > DIVERGENCE_LIMIT:
+    if not within_guard(theta):
         state.aborted = True
         raise DivergenceError(
             f"iterate exceeded divergence guard at step {state.n + 1}: "

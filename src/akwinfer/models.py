@@ -144,16 +144,20 @@ class LossOracle:
         x, y = zeta
         return self.linpred_loss(thetas @ x, y)
 
+    def linpred_grad(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Derivative of ``linpred_loss`` in ``u`` (a subgradient at the
+        quantile kink)."""
+        family = self.spec.family
+        if family == "linear":
+            return 2.0 * (u - y)
+        if family == "logistic":
+            return -y / (1.0 + np.exp(y * u))
+        return (y - u < 0.0) - self.spec.tau
+
     def grad(self, theta: np.ndarray, zeta: tuple[np.ndarray, float]) -> np.ndarray:
         """Exact per-sample (sub)gradient, used only by the RM baseline."""
         x, y = zeta
-        u = x @ theta
-        family = self.spec.family
-        if family == "linear":
-            return 2.0 * (u - y) * x
-        if family == "logistic":
-            return -y / (1.0 + np.exp(y * u)) * x
-        return ((y - u < 0.0) - self.spec.tau) * x
+        return self.linpred_grad(x @ theta, y) * x
 
 
 def make_oracle(spec: ModelSpec) -> LossOracle:

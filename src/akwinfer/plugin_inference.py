@@ -24,12 +24,12 @@ from .numkernel import (
 
 __all__ = [
     "HessianAccumulator",
-    "GramAccumulator",
     "ConfidenceInterval",
     "hessian_entry_block",
+    "subsample_block",
+    "symmetric_part",
     "naive_hessian_update",
     "thresholded_hessian",
-    "gram_update",
     "plugin_covariance",
     "plugin_ci",
     "z_quantile",
@@ -103,14 +103,29 @@ def hessian_entry_block(
     return g, mask, queries
 
 
+def subsample_block(
+    g: np.ndarray, mask: np.ndarray, p: float, mode: str, prev: np.ndarray
+) -> np.ndarray:
+    """Apply the entry-subsampling rule to raw curvature blocks (..., d, d).
+
+    ``mode='ipw'`` weights sampled entries by 1/p and zeroes the rest (the
+    analyzed estimator); ``mode='inherit'`` carries unsampled entries over
+    from ``prev``, the previous subsampled block.
+    """
+    if mode == "ipw":
+        return np.where(mask, g / p, 0.0)
+    return np.where(mask, g, prev)
+
+
+def symmetric_part(block: np.ndarray) -> np.ndarray:
+    """``(B + Bᵀ)/2`` over the last two axes."""
+    return 0.5 * (block + np.swapaxes(block, -1, -2))
+
+
 @dataclass
 class HessianAccumulator:
-    """Running symmetrized curvature sum with entry subsampling.
-
-    ``mode='ipw'`` weights sampled entries by 1/p (the analyzed estimator);
-    ``mode='inherit'`` carries unsampled entries over from the previous
-    raw block.
-    """
+    """Running symmetrized curvature sum with entry subsampling
+    (see ``subsample_block`` for the two modes)."""
 
     dim: int
     p: float = 1.0
@@ -135,12 +150,8 @@ class HessianAccumulator:
 
     def accumulate_block(self, g: np.ndarray, mask: np.ndarray) -> None:
         """Fold one raw entry block into the running symmetrized sum."""
-        if self.mode == "ipw":
-            block = g / self.p
-        else:
-            block = np.where(mask, g, self._prev_block)
-            self._prev_block = block
-        self.running_sum += 0.5 * (block + block.T)
+        self._prev_block = subsample_block(g, mask, self.p, self.mode, self._prev_block)
+        self.running_sum += symmetric_part(self._prev_block)
         self.count += 1
 
     def update(self, oracle, theta, zeta, h, rng=None) -> int:
@@ -184,51 +195,33 @@ def naive_hessian_update(
     return (u_batch * coeff[:, None]).T @ v_batch / m
 
 
+def _floored_eigen(
+    h_mean: np.ndarray, kappa1: float, kappa2: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of the curvature mean, floored at
+    kappa1 and optionally capped at kappa2."""
+    eig = sym_eigen(h_mean, name="curvature estimate")
+    lam = np.maximum(kappa1, eig.values)
+    if kappa2 is not None:
+        lam = np.minimum(kappa2, lam)
+    return eig.vectors, lam
+
+
 def thresholded_hessian(acc: HessianAccumulator) -> np.ndarray:
     """Eigenvalue-thresholded running-mean curvature: floor at kappa1,
     optional cap at kappa2 (preconditioned-update mode)."""
-    eig = sym_eigen(acc.mean(), name="curvature estimate")
-    lam = np.maximum(acc.kappa1, eig.values)
-    if acc.kappa2 is not None:
-        lam = np.minimum(acc.kappa2, lam)
-    return (eig.vectors * lam) @ eig.vectors.T
+    vectors, lam = _floored_eigen(acc.mean(), acc.kappa1, acc.kappa2)
+    return (vectors * lam) @ vectors.T
 
 
-@dataclass
-class GramAccumulator:
-    """One-pass running sum of gradient outer products."""
-
-    dim: int
-    running_sum: np.ndarray = field(default=None)  # type: ignore[assignment]
-    count: int = 0
-
-    def __post_init__(self):
-        if self.running_sum is None:
-            self.running_sum = np.zeros((self.dim, self.dim))
-
-    def update(self, g_hat: np.ndarray) -> None:
-        self.running_sum += np.outer(g_hat, g_hat)
-        self.count += 1
-
-    def mean(self) -> np.ndarray:
-        if self.count < 1:
-            raise ValueError("gradient-noise accumulator is empty")
-        return self.running_sum / self.count
-
-
-def gram_update(acc: GramAccumulator, g_hat: np.ndarray) -> GramAccumulator:
-    acc.update(g_hat)
-    return acc
-
-
-def plugin_covariance(h_acc: HessianAccumulator, g_acc: GramAccumulator) -> np.ndarray:
-    """Sandwich estimate: inverse thresholded curvature around the
-    gradient-noise mean. The inverse is safe because eigenvalues are
-    floored at kappa1."""
-    h_hat = thresholded_hessian(h_acc)
-    eig = sym_eigen(h_hat, name="thresholded curvature")
+def plugin_covariance(h_mean: np.ndarray, g_mean: np.ndarray, kappa1: float) -> np.ndarray:
+    """Sandwich estimate from the curvature and gradient-noise means: the
+    inverse curvature with eigenvalues floored at kappa1 around the
+    gradient-noise mean. The floor keeps the inverse bounded."""
+    vectors, lam = _floored_eigen(h_mean, kappa1)
+    eig = sym_eigen((vectors * lam) @ vectors.T, name="thresholded curvature")
     h_inv = (eig.vectors / eig.values) @ eig.vectors.T
-    return sandwich(0.5 * (h_inv + h_inv.T), symmetrize(g_acc.mean(), rtol=1e-8))
+    return sandwich(0.5 * (h_inv + h_inv.T), symmetrize(g_mean, rtol=1e-8))
 
 
 def plugin_ci(

@@ -21,9 +21,9 @@ __all__ = [
     "ScalingAccumulator",
     "ONE_SIDED_QUANTILES",
     "TWO_SIDED_CRITICAL_VALUES",
+    "kahan_add",
     "scaling_update",
     "assemble_v",
-    "scaling_statistic",
     "scaling_ci",
     "simulate_pivot_quantiles",
 ]
@@ -67,11 +67,11 @@ class ScalingAccumulator:
         self._s_c = 0.0
 
 
-def _kahan_add(total, comp, term):
+def kahan_add(total, comp, term):
+    """One compensated-summation step; returns the new (total, comp)."""
     y = term - comp
     t = total + y
-    comp = (t - total) - y
-    return t, comp
+    return t, (t - total) - y
 
 
 def scaling_update(acc: ScalingAccumulator, theta_bar_i: np.ndarray, i: int) -> ScalingAccumulator:
@@ -79,42 +79,24 @@ def scaling_update(acc: ScalingAccumulator, theta_bar_i: np.ndarray, i: int) -> 
     if i != acc.n + 1:
         raise ValueError(f"out-of-order update: expected i={acc.n + 1}, got i={i}")
     w = float(i) * float(i)
-    acc.a, acc._a_c = _kahan_add(acc.a, acc._a_c, w * np.outer(theta_bar_i, theta_bar_i))
-    acc.b, acc._b_c = _kahan_add(acc.b, acc._b_c, w * theta_bar_i)
-    acc.s, acc._s_c = _kahan_add(acc.s, acc._s_c, w)
+    acc.a, acc._a_c = kahan_add(acc.a, acc._a_c, w * np.outer(theta_bar_i, theta_bar_i))
+    acc.b, acc._b_c = kahan_add(acc.b, acc._b_c, w * theta_bar_i)
+    acc.s, acc._s_c = kahan_add(acc.s, acc._s_c, w)
     acc.n = i
     return acc
 
 
-def assemble_v(acc: ScalingAccumulator, theta_bar_n: np.ndarray) -> np.ndarray:
-    """V_n from the expanded square: (A - theta b^T - b theta^T + s theta theta^T)/n^2."""
-    if acc.n == 0:
-        return np.zeros((acc.dim, acc.dim))
+def assemble_v(
+    a: np.ndarray, b: np.ndarray, s: float, n: int, theta_bar_n: np.ndarray
+) -> np.ndarray:
+    """V_n from the accumulated sums A, b, s over n steps, by the expanded
+    square (A - theta b^T - b theta^T + s theta theta^T)/n^2."""
+    if n == 0:
+        return np.zeros_like(a)
     tb = np.asarray(theta_bar_n, dtype=float)
-    v = acc.a - np.outer(tb, acc.b) - np.outer(acc.b, tb) + acc.s * np.outer(tb, tb)
-    v /= float(acc.n) ** 2
+    v = a - np.outer(tb, b) - np.outer(b, tb) + s * np.outer(tb, tb)
+    v /= float(n) ** 2
     return symmetrize(v, rtol=1e-8)
-
-
-def scaling_statistic(
-    theta_bar: np.ndarray,
-    theta_ref: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    n: int,
-) -> float:
-    """Pivotal statistic sqrt(n) w^T(theta_bar - theta_ref)/sqrt(w^T V w).
-
-    Needs a reference point, so this is a test/diagnostic API; interval
-    construction goes through scaling_ci.
-    """
-    w = check_finite(w, "projection vector")
-    denom = float(w @ v @ w)
-    if denom <= 1e-14:
-        raise LinAlgError(
-            f"degenerate scaling: w^T V w = {denom:.3e} (constant iterate path?)"
-        )
-    return float(np.sqrt(n) * (w @ (theta_bar - theta_ref)) / np.sqrt(denom))
 
 
 def scaling_ci(

@@ -8,6 +8,15 @@ batch of replications advances with a handful of array operations per
 iteration); randomness is drawn per replication from ``default_rng(seed +
 replication)`` in a fixed block order so results do not depend on how
 replications are chunked.
+
+The engine shares its math with the library: directions come from
+``directions.draw_directions``, exact gradients from
+``LossOracle.linpred_grad``, the divergence rule from
+``kwengine.within_guard``, the curvature subsampling from
+``plugin_inference.subsample_block``/``symmetric_part`` and the
+random-scaling sums from ``random_scaling.kahan_add``, all applied to
+(C, ...) arrays with one row per replication. Records are assembled from
+those arrays by ``plugin_covariance`` and ``assemble_v``.
 """
 
 from __future__ import annotations
@@ -25,18 +34,18 @@ import numpy as np
 
 from . import directions as dirs
 from . import models
-from .kwengine import DIVERGENCE_LIMIT, Schedules
+from .kwengine import Schedules, within_guard
 from .numkernel import check_finite, spectral_norm
 from .plugin_inference import (
-    GramAccumulator,
-    HessianAccumulator,
     plugin_ci,
     plugin_covariance,
+    subsample_block,
+    symmetric_part,
 )
 from .random_scaling import (
     TWO_SIDED_CRITICAL_VALUES,
-    ScalingAccumulator,
     assemble_v,
+    kahan_add,
     scaling_ci,
 )
 
@@ -341,35 +350,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 # -- randomness tape -----------------------------------------------------
 
 
-def _tape_directions(
-    rng: np.random.Generator,
-    dist: dirs.DirectionDistribution,
-    mode: dirs.QueryMode,
-    size: int,
-) -> np.ndarray:
-    """Direction vectors for ``size`` iterations, shape (size, m, dim)."""
-    d, m = dist.dim, mode.m
-    kind = dist.kind
-    if kind in ("gaussian", "spherical"):
-        g = rng.standard_normal((size, m, d))
-        if kind == "gaussian":
-            return g
-        norms = np.sqrt((g * g).sum(axis=2, keepdims=True))
-        return math.sqrt(d) * g / norms
-    if kind in dirs.BASIS_KINDS:
-        if mode.without_replacement:
-            idx = np.argsort(rng.random((size, d)), axis=1)[:, :m]
-        else:
-            idx = rng.integers(0, d, size=(size, m))
-        if kind == "canonical":
-            return math.sqrt(d) * np.eye(d)[idx]
-        return math.sqrt(d) * dist.u.T[idx]
-    # nonuniform canonical directions via inverse-CDF lookup
-    cum = np.cumsum(dist.p)
-    idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
-    return np.eye(d)[idx] / np.sqrt(dist.p)[idx][:, :, None]
-
-
 def draw_block(
     rng: np.random.Generator,
     oracle: models.LossOracle,
@@ -388,25 +368,11 @@ def draw_block(
     d = oracle.spec.dim
     x = rng.standard_normal((size, d)) @ oracle.chol.T
     z = rng.random(size) if oracle.noise_kind == "uniform" else rng.standard_normal(size)
-    v = _tape_directions(rng, dist, mode, size)
+    v = dirs.draw_directions(rng, dist, mode, size)
     mask = None
     if mask_p is not None and mask_p < 1.0:
         mask = rng.random((size, d, d)) < mask_p
     return x, z, v, mask
-
-
-def _grad_linpred(
-    oracle: models.LossOracle, u: np.ndarray, y: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Exact per-sample gradient, vectorized over replications."""
-    family = oracle.spec.family
-    if family == "linear":
-        coeff = 2.0 * (u - y)
-    elif family == "logistic":
-        coeff = -y / (1.0 + np.exp(y * u))
-    else:
-        coeff = (y - u < 0.0) - oracle.spec.tau
-    return coeff[:, None] * x
 
 
 # -- records and reports -------------------------------------------------
@@ -506,12 +472,6 @@ class _ChunkState:
         self.sc_s_c = np.zeros(c)
 
 
-def _kahan(total, comp, term):
-    y = term - comp
-    t = total + y
-    return t, (t - total) - y
-
-
 def _oracle_truth(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.algorithm == "rm":
         return models.rm_oracle_covariance(cfg.model)
@@ -528,7 +488,7 @@ def _method_records(
 ) -> list[ReplicationRecord]:
     """Inference records for every replication in the chunk at its current n;
     ``c_norm`` is the spectral norm of ``c_true``."""
-    w, d = cfg.w, cfg.model.dim
+    w = cfg.w
     target = float(w @ cfg.model.theta_star)
     denom = float(np.linalg.norm(cfg.model.theta_star)) or 1.0
     records = []
@@ -540,26 +500,13 @@ def _method_records(
             cov_error = ci = None
             if n_j >= 1 and not aborted:
                 if method == "plugin" and st.hess_count[j] >= 1:
-                    h_acc = HessianAccumulator(
-                        dim=d,
-                        p=cfg.plugin.p,
-                        kappa1=cfg.plugin.kappa1,
-                        mode=cfg.plugin.subsampling,
-                        running_sum=st.hess[j].copy(),
-                        count=int(st.hess_count[j]),
+                    cov = plugin_covariance(
+                        st.hess[j] / st.hess_count[j], st.gram[j] / n_j, cfg.plugin.kappa1
                     )
-                    g_acc = GramAccumulator(
-                        dim=d, running_sum=st.gram[j].copy(), count=n_j
-                    )
-                    cov = plugin_covariance(h_acc, g_acc)
                     cov_error = spectral_norm(cov - c_true) / c_norm
                     ci = plugin_ci(st.theta_bar[j], cov, w, n_j, cfg.level)
                 elif method == "random_scaling":
-                    acc = ScalingAccumulator(
-                        dim=d, a=st.sc_a[j].copy(), b=st.sc_b[j].copy(),
-                        s=float(st.sc_s[j]), n=n_j,
-                    )
-                    v = assemble_v(acc, st.theta_bar[j])
+                    v = assemble_v(st.sc_a[j], st.sc_b[j], st.sc_s[j], n_j, st.theta_bar[j])
                     ci = scaling_ci(st.theta_bar[j], v, w, n_j, cfg.level)
                 elif method == "oracle":
                     ci = plugin_ci(st.theta_bar[j], c_true, w, n_j, cfg.level)
@@ -646,7 +593,7 @@ def _run_chunk(
             u0 = np.einsum("cd,cd->c", x, st.theta)
             h = sched.h(i)
             if cfg.algorithm == "rm":
-                g = _grad_linpred(oracle, u0, y, x)
+                g = oracle.linpred_grad(u0, y)[:, None] * x
                 st.queries[act] += 1
             else:
                 f0 = oracle.linpred_loss(u0, y)
@@ -657,10 +604,7 @@ def _run_chunk(
                 st.queries[act] += m + 1
             g = np.where(act[:, None], g, 0.0)
             theta_new = st.theta - sched.eta(i) * g
-            blown = act & ~(
-                np.isfinite(theta_new).all(axis=1)
-                & (np.abs(theta_new).max(axis=1) <= DIVERGENCE_LIMIT)
-            )
+            blown = act & ~within_guard(theta_new)
             if blown.any():
                 st.active = act = act & ~blown
                 theta_new = np.where(act[:, None], theta_new, st.theta)
@@ -683,21 +627,15 @@ def _run_chunk(
                 ) / (h * h)
                 if masks is not None:
                     mk = masks[:, t]
-                    if cfg.plugin.subsampling == "ipw":
-                        gblock = np.where(mk, gblock / cfg.plugin.p, 0.0)
-                    else:
-                        gblock = np.where(mk, gblock, st.hess_prev)
-                        st.hess_prev = np.where(
-                            act[:, None, None], gblock, st.hess_prev
-                        )
+                    gblock = subsample_block(
+                        gblock, mk, cfg.plugin.p, cfg.plugin.subsampling, st.hess_prev
+                    )
+                    if cfg.plugin.subsampling == "inherit":
+                        st.hess_prev = np.where(act[:, None, None], gblock, st.hess_prev)
                     sampled = mk.sum(axis=(1, 2))
                 else:
                     sampled = np.full(len(act), d * d)
-                st.hess += np.where(
-                    act[:, None, None],
-                    0.5 * (gblock + gblock.transpose(0, 2, 1)),
-                    0.0,
-                )
+                st.hess += np.where(act[:, None, None], symmetric_part(gblock), 0.0)
                 st.hess_count[act] += 1
                 st.queries[act] += 1 + 2 * d + sampled[act]
             if want_scaling:
@@ -707,11 +645,11 @@ def _run_chunk(
                     w_i * np.einsum("cd,ce->cde", st.theta_bar, st.theta_bar),
                     0.0,
                 )
-                st.sc_a, st.sc_a_c = _kahan(st.sc_a, st.sc_a_c, term)
+                st.sc_a, st.sc_a_c = kahan_add(st.sc_a, st.sc_a_c, term)
                 term = np.where(act[:, None], w_i * st.theta_bar, 0.0)
-                st.sc_b, st.sc_b_c = _kahan(st.sc_b, st.sc_b_c, term)
+                st.sc_b, st.sc_b_c = kahan_add(st.sc_b, st.sc_b_c, term)
                 term = np.where(act, w_i, 0.0)
-                st.sc_s, st.sc_s_c = _kahan(st.sc_s, st.sc_s_c, term)
+                st.sc_s, st.sc_s_c = kahan_add(st.sc_s, st.sc_s_c, term)
             if marks and i == marks[0]:
                 marks.pop(0)
                 checkpoint_records.extend(

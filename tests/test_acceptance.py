@@ -17,6 +17,7 @@ from akwinfer import kwengine as kw
 from akwinfer import models
 from akwinfer import simharness as sh
 from akwinfer.cli import main
+from akwinfer.directions import draw_directions
 from akwinfer.numkernel import spectral_norm
 from akwinfer.plugin_inference import HessianAccumulator, hessian_entry_block
 from akwinfer.random_scaling import (
@@ -26,7 +27,6 @@ from akwinfer.random_scaling import (
     scaling_update,
     simulate_pivot_quantiles,
 )
-from akwinfer.simharness import _tape_directions
 
 
 def report(line):
@@ -65,7 +65,7 @@ def test_criterion_01_q_matrix_oracle_equivalence():
     worst = {}
     for kind, dist in all_distributions(d, rng).items():
         q = dirs.analytic_q(dist, s)
-        v = _tape_directions(rng, dist, dirs.QueryMode(m=1), draws)[:, 0, :]
+        v = draw_directions(rng, dist, dirs.QueryMode(m=1), draws)[:, 0, :]
         quad = np.einsum("nd,nd->n", v, v @ s)
         q_mc = (v.T * quad) @ v / draws
         tol = 0.02 * (1.0 + np.abs(q))
@@ -83,7 +83,7 @@ def test_criterion_02_multi_query_collapse_at_m_equals_d():
     mode = dirs.QueryMode(m=d, replacement="without")
     q_multi = dirs.analytic_q_multi(dist, s, mode)
     assert np.abs(q_multi - s).max() < 1e-12
-    v = _tape_directions(rng, dist, mode, batches)  # (batches, d, d)
+    v = draw_directions(rng, dist, mode, batches)  # (batches, d, d)
     proj = np.einsum("bmd,bme->bde", v, v) / d
     q_mc = np.einsum("bde,ef,bfg->dg", proj, s, proj) / batches
     rel = np.abs(q_mc - s).max() / np.abs(s).max()
@@ -295,7 +295,8 @@ def test_criterion_11_online_batch_equivalence(tmp_path):
         dev = path - path[-1]
         i2 = np.arange(1, n + 1) ** 2
         batch = (dev.T * i2) @ dev / n**2
-        worst_v = max(worst_v, float(np.abs(assemble_v(acc, path[-1]) - batch).max()))
+        v = assemble_v(acc.a, acc.b, acc.s, acc.n, path[-1])
+        worst_v = max(worst_v, float(np.abs(v - batch).max()))
     assert worst_v < 1e-9, worst_v
 
     # running average of the optimizer vs the batch mean of its iterates

@@ -9,6 +9,7 @@ from akwinfer import kwengine as kw
 from akwinfer import models
 from akwinfer import simharness as sh
 from akwinfer.plugin_inference import HessianAccumulator, hessian_entry_block
+from akwinfer.random_scaling import ScalingAccumulator, scaling_update
 
 
 def small_raw(**overrides):
@@ -127,6 +128,46 @@ def test_vectorized_engine_matches_scalar_replay():
             )
         assert np.allclose(state.theta, st.theta[rep], rtol=1e-9, atol=1e-12)
         assert np.allclose(state.theta_bar, st.theta_bar[rep], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", models.FAMILIES)
+@pytest.mark.parametrize(
+    "directions", [{"kind": "spherical", "m": 2}, {"kind": "canonical"}]
+)
+def test_vectorized_gram_and_scaling_match_scalar_replay(family, directions):
+    cfg = sh.config_from_dict(
+        small_raw(
+            model={"family": family, "theta": [0.6, -0.8]},
+            n=200,
+            replications=3,
+            inference=["plugin", "random_scaling"],
+            directions=directions,
+        )
+    )
+    st = sh.replication_states(cfg)
+    oracle = models.make_oracle(cfg.model)
+    d = cfg.model.dim
+    for rep in range(cfg.replications):
+        rng = np.random.default_rng(cfg.seed + rep)
+        x, z, v, _ = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n)
+        y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
+        state = kw.KwRunState.initial(d)
+        gram = np.zeros((d, d))
+        acc = ScalingAccumulator(dim=d)
+        for i in range(cfg.n):
+            kw.step(
+                state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
+                zeta=(x[i], y[i]), dir_batch=v[i],
+            )
+            gram += np.outer(state.last_gradient, state.last_gradient)
+            scaling_update(acc, state.theta_bar, i + 1)
+        for got, want in (
+            (gram, st.gram[rep]),
+            (acc.a, st.sc_a[rep]),
+            (acc.b, st.sc_b[rep]),
+            (acc.s, st.sc_s[rep]),
+        ):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 # Quantile is left out: at the kink of the check loss, the engine's x·θ + h·x_k

@@ -189,6 +189,32 @@ def test_divergence_guard_sets_abort():
     assert state.aborted
 
 
+class OverflowOracle:
+    """f(theta) = 1.7e308 * min(1, 4 theta^T theta): every loss is finite,
+    but the forward-difference quotient overflows to inf."""
+
+    def loss(self, theta, zeta):
+        return 1.7e308 * min(1.0, 4.0 * float(theta @ theta))
+
+
+def test_non_finite_iterate_trips_divergence_guard():
+    # g = inf * [sqrt 2, 0] = [inf, nan]: the update would leave [-inf, nan]
+    dist = dirs.DirectionDistribution("canonical", 2)
+    state = kw.KwRunState.initial(2)
+    with pytest.raises(kw.DivergenceError), np.errstate(invalid="ignore"):
+        kw.step(state, OverflowOracle(), dist, dirs.QueryMode(), kw.Schedules(h0=0.5),
+                np.random.default_rng(0), zeta=(), dir_batch=np.array([[np.sqrt(2.0), 0.0]]))
+    assert state.aborted
+    assert state.n == 0
+    assert np.array_equal(state.theta, np.zeros(2))
+
+
+def test_within_guard_rule_per_row():
+    theta = np.array([[0.0, -1e8], [np.nan, 0.0], [2e8, 0.0], [-np.inf, 0.0]])
+    assert kw.within_guard(theta).tolist() == [True, False, False, False]
+    assert kw.within_guard(np.zeros(3))
+
+
 def test_newton_step_identity_hessian_matches_plain_kw():
     oracle, _ = linear_oracle()
     dist = dirs.DirectionDistribution("canonical", 2)
