@@ -219,8 +219,7 @@ def plugin_covariance(h_mean: np.ndarray, g_mean: np.ndarray, kappa1: float) -> 
     inverse curvature with eigenvalues floored at kappa1 around the
     gradient-noise mean. The floor keeps the inverse bounded."""
     vectors, lam = _floored_eigen(h_mean, kappa1)
-    eig = sym_eigen((vectors * lam) @ vectors.T, name="thresholded curvature")
-    h_inv = (eig.vectors / eig.values) @ eig.vectors.T
+    h_inv = (vectors / lam) @ vectors.T
     return sandwich(0.5 * (h_inv + h_inv.T), symmetrize(g_mean, rtol=1e-8))
 
 
