@@ -132,7 +132,9 @@ def test_vectorized_engine_matches_scalar_replay():
 
 @pytest.mark.parametrize("family", models.FAMILIES)
 @pytest.mark.parametrize(
-    "directions", [{"kind": "spherical", "m": 2}, {"kind": "canonical"}]
+    "directions",
+    [{"kind": "spherical", "m": 2}, {"kind": "canonical"}],
+    ids=["spherical-m2", "canonical"],
 )
 def test_vectorized_gram_and_scaling_match_scalar_replay(family, directions):
     cfg = sh.config_from_dict(
