@@ -129,9 +129,13 @@ def _execute(cfgs: list[simharness.ExperimentConfig], args) -> int:
         run_dir = simharness.write_report(report, args.output_dir)
         print(json.dumps(report.summary, indent=2, sort_keys=True))
         print(f"wrote {run_dir}", file=sys.stderr)
-        if report.summary["aborted"] >= report.config.replications:
+        aborted, reps = report.summary["aborted"], report.config.replications
+        if aborted >= reps:
             print(f"{report.run_id}: every replication aborted", file=sys.stderr)
             status = 2
+        elif aborted:
+            print(f"{report.run_id}: {aborted} of {reps} replications aborted; "
+                  "coverage is over the survivors only", file=sys.stderr)
     return status
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "QueryMode",
     "random_orthonormal",
     "draw_directions",
-    "sample",
     "sample_batch",
     "analytic_q",
     "analytic_q_multi",
@@ -155,11 +154,6 @@ def draw_directions(
     cum = np.cumsum(dist.p)
     idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
     return np.eye(d)[idx] / np.sqrt(dist.p)[idx][:, :, None]
-
-
-def sample(dist: DirectionDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Draw one direction vector."""
-    return sample_batch(dist, QueryMode(m=1), rng)[0]
 
 
 def sample_batch(

@@ -5,7 +5,9 @@ Maintains the running pieces of
     V_n = (1/n^2) sum_i i^2 (theta_bar_i - theta_bar_n)(theta_bar_i - theta_bar_n)^T
 
 online, and builds studentized intervals from the tabulated quantiles of
-the limiting pivot W(1)/sqrt(int_0^1 (W(r) - r W(1))^2 dr).
+the limiting pivot W(1)/sqrt(int_0^1 (W(r) - r W(1))^2 dr). An interval for
+w^T theta reads only w^T V_n w, so the replication engine keeps these sums
+for the scalar w^T theta_bar_i and calls ``assemble_v`` with d = 1.
 """
 
 from __future__ import annotations

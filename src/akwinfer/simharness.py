@@ -15,8 +15,9 @@ The engine shares its math with the library: directions come from
 ``kwengine.within_guard``, the curvature subsampling from
 ``plugin_inference.subsample_block``/``symmetric_part`` and the
 random-scaling sums from ``random_scaling.kahan_add``, all applied to
-(C, ...) arrays with one row per replication. Records are assembled from
-those arrays by ``plugin_covariance`` and ``assemble_v``.
+(C, ...) arrays with one row per replication. The random-scaling sums are
+kept for the scalar w·θ̄ only and the gradient Gram only for plug-in runs;
+records are assembled by ``plugin_covariance`` and ``assemble_v`` (d = 1).
 """
 
 from __future__ import annotations
@@ -464,10 +465,10 @@ class _ChunkState:
         self.hess = np.zeros((c, d, d))
         self.hess_prev = np.zeros((c, d, d))
         self.hess_count = np.zeros(c, dtype=np.int64)
-        self.sc_a = np.zeros((c, d, d))
-        self.sc_a_c = np.zeros((c, d, d))
-        self.sc_b = np.zeros((c, d))
-        self.sc_b_c = np.zeros((c, d))
+        self.sc_a = np.zeros(c)
+        self.sc_a_c = np.zeros(c)
+        self.sc_b = np.zeros(c)
+        self.sc_b_c = np.zeros(c)
         self.sc_s = np.zeros(c)
         self.sc_s_c = np.zeros(c)
 
@@ -506,8 +507,10 @@ def _method_records(
                     cov_error = spectral_norm(cov - c_true) / c_norm
                     ci = plugin_ci(st.theta_bar[j], cov, w, n_j, cfg.level)
                 elif method == "random_scaling":
-                    v = assemble_v(st.sc_a[j], st.sc_b[j], st.sc_s[j], n_j, st.theta_bar[j])
-                    ci = scaling_ci(st.theta_bar[j], v, w, n_j, cfg.level)
+                    t = np.array([w @ st.theta_bar[j]])  # the 1-d problem in w·θ̄
+                    a, b = st.sc_a[j:j + 1, None], st.sc_b[j:j + 1]
+                    v = assemble_v(a, b, st.sc_s[j], n_j, t)
+                    ci = scaling_ci(t, v, np.ones(1), n_j, cfg.level)
                 elif method == "oracle":
                     ci = plugin_ci(st.theta_bar[j], c_true, w, n_j, cfg.level)
             records.append(
@@ -613,10 +616,8 @@ def _run_chunk(
             st.theta_bar = np.where(
                 act[:, None], st.theta_bar + (st.theta - st.theta_bar) / i, st.theta_bar
             )
-            if cfg.inference:
-                st.gram += np.where(
-                    act[:, None, None], np.einsum("cd,ce->cde", g, g), 0.0
-                )
+            if want_plugin:
+                st.gram += np.where(act[:, None, None], np.einsum("cd,ce->cde", g, g), 0.0)
             if want_plugin and i % cfg.plugin.every == 0:
                 if cfg.algorithm == "rm":
                     f0 = oracle.linpred_loss(u0, y)
@@ -640,13 +641,10 @@ def _run_chunk(
                 st.queries[act] += 1 + 2 * d + sampled[act]
             if want_scaling:
                 w_i = float(i) * float(i)
-                term = np.where(
-                    act[:, None, None],
-                    w_i * np.einsum("cd,ce->cde", st.theta_bar, st.theta_bar),
-                    0.0,
-                )
+                proj = st.theta_bar @ cfg.w
+                term = np.where(act, w_i * (proj * proj), 0.0)
                 st.sc_a, st.sc_a_c = kahan_add(st.sc_a, st.sc_a_c, term)
-                term = np.where(act[:, None], w_i * st.theta_bar, 0.0)
+                term = np.where(act, w_i * proj, 0.0)
                 st.sc_b, st.sc_b_c = kahan_add(st.sc_b, st.sc_b_c, term)
                 term = np.where(act, w_i, 0.0)
                 st.sc_s, st.sc_s_c = kahan_add(st.sc_s, st.sc_s_c, term)

@@ -131,3 +131,18 @@ def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZOKW_WORKERS", "2")
     cfg = write_config(tmp_path, {**CONFIG, "n": 50, "replications": 2})
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+
+
+def test_run_warns_on_aborted_replications(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, CONFIG), "--output-dir", out]) == 0
+    assert "replications aborted" not in capsys.readouterr().err
+    # eta0 = 2.5 diverges in 3 of the 4 replications at this seed, eta0 = 5 in all
+    partial = {**CONFIG, "schedules": {"eta0": 2.5}, "inference": ["oracle"]}
+    assert main(["run", "--config", write_config(tmp_path, partial), "--output-dir", out]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["aborted"] == 3
+    assert "3 of 4 replications aborted" in captured.err
+    every = {**partial, "schedules": {"eta0": 5.0}}
+    assert main(["run", "--config", write_config(tmp_path, every), "--output-dir", out]) == 2
+    assert "every replication aborted" in capsys.readouterr().err

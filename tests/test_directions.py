@@ -38,7 +38,7 @@ def test_canonical_draws_scaled_basis_vectors():
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(200):
-        v = dirs.sample(dist, rng)
+        v = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
         nz = np.nonzero(v)[0]
         assert len(nz) == 1
         assert v[nz[0]] == pytest.approx(np.sqrt(3))
@@ -50,7 +50,7 @@ def test_spherical_norm_exact():
     dist = dirs.DirectionDistribution("spherical", 2)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        v = dirs.sample(dist, rng)
+        v = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
         assert v @ v == pytest.approx(2.0, abs=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_second_moment_is_identity(kind):
     acc = np.zeros((d, d))
     n = 40_000
     for _ in range(n):
-        v = dirs.sample(dist, rng)
+        v = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
         acc += np.outer(v, v)
     assert np.abs(acc / n - np.eye(d)).max() < 0.06
 

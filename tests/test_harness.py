@@ -9,7 +9,12 @@ from akwinfer import kwengine as kw
 from akwinfer import models
 from akwinfer import simharness as sh
 from akwinfer.plugin_inference import HessianAccumulator, hessian_entry_block
-from akwinfer.random_scaling import ScalingAccumulator, scaling_update
+from akwinfer.random_scaling import (
+    ScalingAccumulator,
+    assemble_v,
+    scaling_ci,
+    scaling_update,
+)
 
 
 def small_raw(**overrides):
@@ -105,6 +110,22 @@ def test_zero_iterations_yields_unit_error_and_no_intervals():
         assert not r.aborted
 
 
+def _replay(cfg, rep):
+    """Replay one replication's tape through the scalar ``kw.step``,
+    yielding the run state after each step."""
+    oracle = models.make_oracle(cfg.model)
+    rng = np.random.default_rng(cfg.seed + rep)
+    x, z, v, _ = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n)
+    y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
+    state = kw.KwRunState.initial(cfg.model.dim)
+    for i in range(cfg.n):
+        kw.step(
+            state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
+            zeta=(x[i], y[i]), dir_batch=v[i],
+        )
+        yield state
+
+
 def test_vectorized_engine_matches_scalar_replay():
     cfg = sh.config_from_dict(
         small_raw(
@@ -115,17 +136,8 @@ def test_vectorized_engine_matches_scalar_replay():
         )
     )
     st = sh.replication_states(cfg)
-    oracle = models.make_oracle(cfg.model)
     for rep in range(cfg.replications):
-        rng = np.random.default_rng(cfg.seed + rep)
-        x, z, v, _ = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n)
-        y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
-        state = kw.KwRunState.initial(cfg.model.dim)
-        for i in range(cfg.n):
-            kw.step(
-                state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
-                zeta=(x[i], y[i]), dir_batch=v[i],
-            )
+        *_, state = _replay(cfg, rep)
         assert np.allclose(state.theta, st.theta[rep], rtol=1e-9, atol=1e-12)
         assert np.allclose(state.theta_bar, st.theta_bar[rep], rtol=1e-9, atol=1e-12)
 
@@ -147,29 +159,53 @@ def test_vectorized_gram_and_scaling_match_scalar_replay(family, directions):
         )
     )
     st = sh.replication_states(cfg)
-    oracle = models.make_oracle(cfg.model)
     d = cfg.model.dim
     for rep in range(cfg.replications):
-        rng = np.random.default_rng(cfg.seed + rep)
-        x, z, v, _ = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n)
-        y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
-        state = kw.KwRunState.initial(d)
         gram = np.zeros((d, d))
-        acc = ScalingAccumulator(dim=d)
-        for i in range(cfg.n):
-            kw.step(
-                state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
-                zeta=(x[i], y[i]), dir_batch=v[i],
-            )
+        acc = ScalingAccumulator(dim=1)
+        for i, state in enumerate(_replay(cfg, rep), start=1):
             gram += np.outer(state.last_gradient, state.last_gradient)
-            scaling_update(acc, state.theta_bar, i + 1)
+            scaling_update(acc, np.array([cfg.w @ state.theta_bar]), i)
         for got, want in (
             (gram, st.gram[rep]),
-            (acc.a, st.sc_a[rep]),
-            (acc.b, st.sc_b[rep]),
+            (acc.a[0, 0], st.sc_a[rep]),
+            (acc.b[0], st.sc_b[rep]),
             (acc.s, st.sc_s[rep]),
         ):
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "inference", [["random_scaling"], ["oracle"], ["random_scaling", "oracle"]]
+)
+def test_gram_is_accumulated_only_for_plugin(inference):
+    cfg = sh.config_from_dict(small_raw(n=50, replications=2, inference=inference))
+    st = sh.replication_states(cfg)
+    assert not st.gram.any()
+
+
+# w = e_2 and a random vector: the engine's sums of w·θ̄_i must give the
+# interval that the full (d, d) sums of θ̄_i give for the same w.
+@pytest.mark.parametrize("w", [[0.0, 1.0], [0.3, -1.7]], ids=["e2", "random"])
+def test_projected_scaling_interval_matches_full_matrix(w):
+    cfg = sh.config_from_dict(
+        small_raw(
+            n=200,
+            replications=3,
+            w=w,
+            inference=["random_scaling"],
+            directions={"kind": "spherical", "m": 2},
+        )
+    )
+    report = sh.run_experiment(cfg)
+    for rep, record in enumerate(report.records):
+        acc = ScalingAccumulator(dim=cfg.model.dim)
+        for i, state in enumerate(_replay(cfg, rep), start=1):
+            scaling_update(acc, state.theta_bar, i)
+        v = assemble_v(acc.a, acc.b, acc.s, acc.n, state.theta_bar)
+        ci = scaling_ci(state.theta_bar, v, cfg.w, cfg.n, cfg.level)
+        assert record.ci_center == pytest.approx(ci.center, rel=1e-9, abs=1e-12)
+        assert record.ci_length == pytest.approx(ci.length, rel=1e-9, abs=1e-12)
 
 
 # Quantile is left out: at the kink of the check loss, the engine's x·θ + h·x_k
