@@ -39,8 +39,9 @@ class DivergenceError(RuntimeError):
 
 def within_guard(theta: np.ndarray) -> np.ndarray:
     """The divergence rule, over the last axis: an iterate is kept while it
-    is finite and ``max|theta| <= DIVERGENCE_LIMIT``."""
-    return np.isfinite(theta).all(axis=-1) & (np.abs(theta).max(axis=-1) <= DIVERGENCE_LIMIT)
+    is finite and ``max|theta| <= DIVERGENCE_LIMIT``. A NaN entry makes the
+    max NaN and an infinite one exceeds the limit, so both fail the test."""
+    return np.abs(theta).max(axis=-1) <= DIVERGENCE_LIMIT
 
 
 @dataclass(frozen=True)

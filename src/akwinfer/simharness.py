@@ -9,15 +9,27 @@ iteration); randomness is drawn per replication from ``default_rng(seed +
 replication)`` in a fixed block order so results do not depend on how
 replications are chunked.
 
+The engine runs in two phases over (C, ...) arrays with one row per
+replication. Per step it runs only the averaged Kiefer–Wolfowitz
+recurrence (u0 and f0, the direction losses, the gradient, the θ update,
+the divergence guard and θ̄) and records the gradient, w·θ̄ and the probe
+inputs. Per group of steps, ``_StepGroup.fold`` adds what never feeds back
+into the recurrence: the gradient Gram as one batched gᵀg, the four-point
+curvature probe laid out pair-major as (pairs, steps, C), the three
+random-scaling sums, the queries and n_done. Groups end at absolute step
+indices (their length depends on d only), at checkpoints and at n, so
+records do not depend on the tape block. Every per-step and per-entry
+expression is the one a step-by-step engine would evaluate; only the order
+of summation over steps differs.
+
 The engine shares its math with the library: directions come from
 ``directions.draw_directions``, exact gradients from
 ``LossOracle.linpred_grad``, the divergence rule from
 ``kwengine.within_guard``, the curvature subsampling from
-``plugin_inference.subsample_block``/``symmetric_part`` and the
-random-scaling sums from ``random_scaling.kahan_add``, all applied to
-(C, ...) arrays with one row per replication. The random-scaling sums are
-kept for the scalar w·θ̄ only and the gradient Gram only for plug-in runs;
-records are assembled by ``plugin_covariance`` and ``assemble_v`` (d = 1).
+``plugin_inference.subsample_block`` and the random-scaling sums from
+``random_scaling.kahan_add``. The random-scaling sums are kept for the
+scalar w·θ̄ only and the gradient Gram only for plug-in runs; records are
+assembled by ``plugin_covariance`` and ``assemble_v`` (d = 1).
 """
 
 from __future__ import annotations
@@ -41,7 +53,6 @@ from .plugin_inference import (
     plugin_ci,
     plugin_covariance,
     subsample_block,
-    symmetric_part,
 )
 from .random_scaling import (
     TWO_SIDED_CRITICAL_VALUES,
@@ -449,6 +460,15 @@ def summarize_records(records: list[ReplicationRecord]) -> dict:
 
 # -- the vectorized replication engine ------------------------------------
 
+# Per-replication element budget of one step group: S steps with
+# S·(pairs + d) <= FOLD_BUDGET, so the probe fold's (pairs, S, C) arrays stay
+# near C·FOLD_BUDGET elements. S depends on d only, never on the tape block.
+FOLD_BUDGET = 1024
+
+
+def _group_length(d: int) -> int:
+    return max(1, FOLD_BUDGET // (d * (d + 1) // 2 + d))
+
 
 class _ChunkState:
     """Mutable per-chunk optimizer and accumulator state."""
@@ -459,6 +479,7 @@ class _ChunkState:
         self.theta = np.zeros((c, d))
         self.theta_bar = np.zeros((c, d))
         self.active = np.ones(c, dtype=bool)
+        self.abort_step = np.full(c, cfg.n + 1, dtype=np.int64)  # n + 1: never
         self.n_done = np.zeros(c, dtype=np.int64)
         self.queries = np.zeros(c, dtype=np.int64)
         self.gram = np.zeros((c, d, d))
@@ -531,31 +552,136 @@ def _method_records(
     return records
 
 
-def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate pairs k <= l, and the (d, d) map from (k, l) to its pair."""
-    rows, cols = np.triu_indices(d)
+def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates (k, l), k <= l, of each pair as a (2, pairs) array,
+    and the (d, d) map from (k, l) and (l, k) to their pair."""
+    ends = np.stack(np.triu_indices(d))
     pair = np.empty((d, d), dtype=np.intp)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    return rows, cols, pair
+    pair[ends[0], ends[1]] = pair[ends[1], ends[0]] = np.arange(ends.shape[1])
+    return ends, pair
 
 
 def _pair_losses(
     oracle: models.LossOracle,
     u0: np.ndarray,
     y: np.ndarray,
-    x: np.ndarray,
-    h: float,
-    index: tuple[np.ndarray, np.ndarray, np.ndarray],
+    xt: np.ndarray,
+    h,
+    ends: np.ndarray,
 ) -> np.ndarray:
-    """Four-point pair losses ``f(u0 + h (x_k + x_l))``, shape (C, d, d).
+    """Four-point pair losses ``f(u0 + h (x_k + x_l))`` for k <= l, pair-major.
 
-    The loss is evaluated once per unordered pair and gathered into both
-    (k, l) and (l, k): IEEE addition commutes, so this is bit-identical to
-    evaluating all d² entries.
+    ``xt`` carries the coordinates on its first axis, the result the pairs;
+    ``u0``, ``y`` and ``h`` broadcast against the remaining axes. Each
+    unordered pair is evaluated once: IEEE addition commutes, so gathering
+    the result into (k, l) and (l, k) is bit-identical to all d² entries.
     """
-    rows, cols, pair = index
-    upper = oracle.linpred_loss(u0[:, None] + h * (x[:, rows] + x[:, cols]), y[:, None])
-    return upper[:, pair]
+    k, l = ends
+    return oracle.linpred_loss(u0 + h * (xt[k] + xt[l]), y)
+
+
+class _StepGroup:
+    """What the recurrence leaves behind over one group of steps.
+
+    The step loop records each step's gradient (zero once a replication has
+    stopped) and w·θ̄ and, at curvature-probe steps, x, y, u0, f0, h and the
+    entry mask. ``fold`` adds the Gram, the curvature probe, the three
+    random-scaling sums, the queries and n_done to the chunk state in a few
+    batched operations. A replication is live after step i while
+    ``i < abort_step``.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, oracle: models.LossOracle, c: int):
+        d = cfg.model.dim
+        size = _group_length(d)
+        self.cfg, self.oracle, self.size = cfg, oracle, size
+        self.start = self.steps = self.probes = 0
+        self.step_queries = cfg.mode.m + 1 if cfg.algorithm == "akw" else 1
+        self.ends, self.pair = _pair_index(d)
+        self.grads = self.f0 = self.mask = self.proj = None
+        if "plugin" in cfg.inference:
+            self.grads = np.empty((size, c, d))
+            self.h = np.empty((size, 1))
+            self.x = np.empty((d, size, c))  # coordinates first, for the pair gather
+            self.y, self.u0 = np.empty((size, c)), np.empty((size, c))
+            if cfg.algorithm == "akw":  # rm evaluates no f0 in its step
+                self.f0 = np.empty((size, c))
+            if cfg.plugin.p < 1.0:
+                self.mask = np.empty((size, c, d, d), dtype=bool)
+        if "random_scaling" in cfg.inference:
+            self.proj = np.empty((size, c))
+
+    def record(self, i, st, g, x, y, u0, f0, h, mask) -> None:
+        s = self.steps
+        self.steps += 1
+        if self.grads is not None:
+            self.grads[s] = g
+            if i % self.cfg.plugin.every == 0:
+                q = self.probes
+                self.probes += 1
+                self.h[q], self.x[:, q], self.y[q], self.u0[q] = h, x.T, y, u0
+                if self.f0 is not None:
+                    self.f0[q] = f0
+                if self.mask is not None:
+                    self.mask[q] = mask
+        if self.proj is not None:
+            self.proj[s] = st.theta_bar @ self.cfg.w
+
+    def fold(self, st: _ChunkState) -> None:
+        k = self.steps
+        steps = np.arange(self.start + 1, self.start + k + 1)
+        live = steps[:, None] < st.abort_step  # (k, C)
+        st.queries += self.step_queries * (steps[:, None] <= st.abort_step).sum(axis=0)
+        self.start += k
+        self.steps = 0
+        st.n_done = np.minimum(self.start, st.abort_step - 1)
+        if self.grads is not None:
+            g = self.grads[:k]
+            st.gram += np.matmul(g.transpose(1, 2, 0), g.transpose(1, 0, 2))
+            if self.probes:
+                self._fold_probe(st, live[steps % self.cfg.plugin.every == 0])
+        if self.proj is not None:
+            i = steps.astype(float)
+            w_i, p = (i * i)[:, None], self.proj[:k]
+
+            def live_sum(term):
+                return np.where(live, term, 0.0).sum(axis=0)
+
+            st.sc_a, st.sc_a_c = kahan_add(st.sc_a, st.sc_a_c, live_sum(w_i * (p * p)))
+            st.sc_b, st.sc_b_c = kahan_add(st.sc_b, st.sc_b_c, live_sum(w_i * p))
+            st.sc_s, st.sc_s_c = kahan_add(st.sc_s, st.sc_s_c, live_sum(w_i))
+
+    def _fold_probe(self, st: _ChunkState, live: np.ndarray) -> None:
+        """Four-point curvature of the group's q probe steps; ``live`` is (q, C)."""
+        q, self.probes = self.probes, 0
+        oracle, plugin, ends = self.oracle, self.cfg.plugin, self.ends
+        d = len(self.pair)
+        h, xt, y, u0 = self.h[:q], self.x[:, :q], self.y[:q], self.u0[:q]
+        f0 = oracle.linpred_loss(u0, y) if self.f0 is None else self.f0[:q]
+        fs = oracle.linpred_loss(u0 + h * xt, y)  # (d, q, C)
+        fp = _pair_losses(oracle, u0, y, xt, h, ends)  # (pairs, q, C)
+        # the raw block's entry (k, l) on raw[0] and (l, k) on raw[1], each in
+        # its own order of summation
+        fe = fs[ends]
+        raw = (fp - fe - fe[::-1] + f0) / (h * h)
+        sampled = d * d
+        if self.mask is not None:
+            sampled = self.mask[:q].sum(axis=(2, 3))
+            mk = self.mask[:q].transpose(2, 3, 0, 1)[ends, ends[::-1]]
+            if plugin.subsampling == "ipw":
+                raw = subsample_block(raw, mk, plugin.p, "ipw", None)
+            else:  # each block inherits from the one before it
+                prev = np.moveaxis(st.hess_prev[:, ends, ends[::-1]], 0, -1)
+                for j in range(q):
+                    raw[:, :, j] = subsample_block(
+                        raw[:, :, j], mk[:, :, j], plugin.p, "inherit", prev
+                    )
+                    prev = np.where(live[j], raw[:, :, j], prev)
+                st.hess_prev[:, ends, ends[::-1]] = np.moveaxis(prev, -1, 0)
+        sym = 0.5 * (raw[0] + raw[1])  # symmetric_part, one pair at a time
+        st.hess += np.where(live, sym, 0.0).sum(axis=1).T[:, self.pair]
+        st.hess_count += live.sum(axis=0)
+        st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)
 
 
 def _run_chunk(
@@ -567,88 +693,71 @@ def _run_chunk(
 ) -> tuple[list[ReplicationRecord], list[ReplicationRecord], "_ChunkState"]:
     oracle = models.make_oracle(cfg.model)
     dist, mode, sched = cfg.dist, cfg.mode, cfg.sched
-    d, m = cfg.model.dim, cfg.mode.m
+    m, c = cfg.mode.m, len(rep_indices)
     st = _ChunkState(cfg, rep_indices)
+    group = _StepGroup(cfg, oracle, c)
     rngs = [np.random.default_rng(cfg.seed + int(r)) for r in rep_indices]
-    want_plugin = "plugin" in cfg.inference
-    want_scaling = "random_scaling" in cfg.inference
-    mask_p = cfg.plugin.p if want_plugin else None
-    theta_star = cfg.model.theta_star
-    pairs = _pair_index(d)
+    mask_p = cfg.plugin.p if "plugin" in cfg.inference else None
+    akw = cfg.algorithm == "akw"
     checkpoint_records: list[ReplicationRecord] = []
     marks = list(cfg.checkpoints)
 
+    tape = None
+    all_live = True  # no replication has left the guard; np.where is then a no-op
     i = 0
     while i < cfg.n:
         size = min(block, cfg.n - i)
-        tapes = [draw_block(rng, oracle, dist, mode, size, mask_p) for rng in rngs]
-        xs = np.stack([t[0] for t in tapes])          # (C, B, d)
-        zs = np.stack([t[1] for t in tapes])          # (C, B)
-        vs = np.stack([t[2] for t in tapes])          # (C, B, m, d)
-        masks = (
-            np.stack([t[3] for t in tapes]) if tapes[0][3] is not None else None
-        )
+        for j, rng in enumerate(rngs):
+            drawn = draw_block(rng, oracle, dist, mode, size, mask_p)
+            if tape is None:  # (C, B, ...) buffers, filled row by row
+                width = min(block, cfg.n)
+                tape = [
+                    None if a is None else np.empty((c, width) + a.shape[1:], a.dtype)
+                    for a in drawn
+                ]
+            for buf, a in zip(tape, drawn):
+                if a is not None:
+                    buf[j, :size] = a
+        xs, zs, vs, masks = (None if b is None else b[:, :size] for b in tape)
+        # step-major (B, C, ...) slices: each step's (C, d) view of xs takes
+        # the same BLAS and einsum paths as it would on its own
+        ys = oracle.response_from_noise(xs.transpose(1, 0, 2) @ cfg.model.theta_star, zs.T)
+        xvs = np.einsum("cbd,cbmd->bcm", xs, vs) if akw else None
         for t in range(size):
             i += 1
-            x, z, v = xs[:, t, :], zs[:, t], vs[:, t, :, :]
+            x, y = xs[:, t, :], ys[t]
             act = st.active
-            y = oracle.response_from_noise(x @ theta_star, z)
             u0 = np.einsum("cd,cd->c", x, st.theta)
             h = sched.h(i)
-            if cfg.algorithm == "rm":
-                g = oracle.linpred_grad(u0, y)[:, None] * x
-                st.queries[act] += 1
-            else:
+            if akw:
                 f0 = oracle.linpred_loss(u0, y)
-                xv = np.einsum("cd,cmd->cm", x, v)
-                f1 = oracle.linpred_loss(u0[:, None] + h * xv, y[:, None])
+                f1 = oracle.linpred_loss(u0[:, None] + h * xvs[t], y[:, None])
                 coeff = (f1 - f0[:, None]) / h
-                g = np.einsum("cm,cmd->cd", coeff, v) / m
-                st.queries[act] += m + 1
-            g = np.where(act[:, None], g, 0.0)
+                g = np.einsum("cm,cmd->cd", coeff, vs[:, t, :, :]) / m
+            else:
+                f0 = None
+                g = oracle.linpred_grad(u0, y)[:, None] * x
+            if not all_live:
+                g = np.where(act[:, None], g, 0.0)
             theta_new = st.theta - sched.eta(i) * g
-            blown = act & ~within_guard(theta_new)
-            if blown.any():
+            # one test over the whole chunk; per row only once one fails
+            if not within_guard(theta_new.ravel()):
+                blown = act & ~within_guard(theta_new)
                 st.active = act = act & ~blown
+                st.abort_step[blown] = i
                 theta_new = np.where(act[:, None], theta_new, st.theta)
+                g = np.where(act[:, None], g, 0.0)
+                all_live = False
             st.theta = theta_new
-            st.n_done[act] = i
-            st.theta_bar = np.where(
-                act[:, None], st.theta_bar + (st.theta - st.theta_bar) / i, st.theta_bar
-            )
-            if want_plugin:
-                st.gram += np.where(act[:, None, None], np.einsum("cd,ce->cde", g, g), 0.0)
-            if want_plugin and i % cfg.plugin.every == 0:
-                if cfg.algorithm == "rm":
-                    f0 = oracle.linpred_loss(u0, y)
-                fs = oracle.linpred_loss(u0[:, None] + h * x, y[:, None])
-                fp = _pair_losses(oracle, u0, y, x, h, pairs)
-                gblock = (
-                    fp - fs[:, :, None] - fs[:, None, :] + f0[:, None, None]
-                ) / (h * h)
-                if masks is not None:
-                    mk = masks[:, t]
-                    gblock = subsample_block(
-                        gblock, mk, cfg.plugin.p, cfg.plugin.subsampling, st.hess_prev
-                    )
-                    if cfg.plugin.subsampling == "inherit":
-                        st.hess_prev = np.where(act[:, None, None], gblock, st.hess_prev)
-                    sampled = mk.sum(axis=(1, 2))
-                else:
-                    sampled = np.full(len(act), d * d)
-                st.hess += np.where(act[:, None, None], symmetric_part(gblock), 0.0)
-                st.hess_count[act] += 1
-                st.queries[act] += 1 + 2 * d + sampled[act]
-            if want_scaling:
-                w_i = float(i) * float(i)
-                proj = st.theta_bar @ cfg.w
-                term = np.where(act, w_i * (proj * proj), 0.0)
-                st.sc_a, st.sc_a_c = kahan_add(st.sc_a, st.sc_a_c, term)
-                term = np.where(act, w_i * proj, 0.0)
-                st.sc_b, st.sc_b_c = kahan_add(st.sc_b, st.sc_b_c, term)
-                term = np.where(act, w_i, 0.0)
-                st.sc_s, st.sc_s_c = kahan_add(st.sc_s, st.sc_s_c, term)
-            if marks and i == marks[0]:
+            theta_bar = st.theta_bar + (st.theta - st.theta_bar) / i
+            if not all_live:
+                theta_bar = np.where(act[:, None], theta_bar, st.theta_bar)
+            st.theta_bar = theta_bar
+            group.record(i, st, g, x, y, u0, f0, h, None if masks is None else masks[:, t])
+            at_mark = bool(marks) and i == marks[0]
+            if at_mark or i % group.size == 0 or i == cfg.n:
+                group.fold(st)
+            if at_mark:
                 marks.pop(0)
                 checkpoint_records.extend(
                     _method_records(cfg, st, c_true, c_norm, checkpoint_n=i)
@@ -686,13 +795,17 @@ def run_experiment(
     records: list[ReplicationRecord] = []
     checkpoint_records: list[ReplicationRecord] = []
     all_reps = np.arange(cfg.replications)
+    aborted = 0
     for lo in range(0, cfg.replications, chunk):
-        recs, cps, _ = _run_chunk(cfg, all_reps[lo:lo + chunk], c_true, c_norm)
+        recs, cps, st = _run_chunk(cfg, all_reps[lo:lo + chunk], c_true, c_norm)
         records.extend(recs)
         checkpoint_records.extend(cps)
+        aborted += int(np.count_nonzero(~st.active))
     checkpoint_records.sort(key=lambda r: (r.n, r.replication, METHODS.index(r.method)))
     summary = summarize_records(records)
     summary.update(
+        replications=cfg.replications,
+        aborted=aborted,
         run_id=cfg.run_id,
         config_hash=cfg.config_hash,
         seed=cfg.seed,

@@ -146,3 +146,12 @@ def test_run_warns_on_aborted_replications(tmp_path, capsys):
     every = {**partial, "schedules": {"eta0": 5.0}}
     assert main(["run", "--config", write_config(tmp_path, every), "--output-dir", out]) == 2
     assert "every replication aborted" in capsys.readouterr().err
+
+
+def test_run_exits_2_when_every_replication_aborts_without_records(tmp_path, capsys):
+    cfg = {**CONFIG, "schedules": {"eta0": 1e4}, "inference": []}
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--output-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["aborted"] == 4
+    assert "every replication aborted" in captured.err

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -214,20 +215,29 @@ def test_projected_scaling_interval_matches_full_matrix(w):
 # orders differ by round-off amplified by 1/h², which is absolute, so entries
 # near zero leave little room under the relative tolerance.
 @pytest.mark.parametrize("family", ["linear", "logistic"])
-@pytest.mark.parametrize("p", [1.0, 0.5])
-def test_vectorized_curvature_matches_scalar_replay(family, p):
+@pytest.mark.parametrize(
+    "plugin",
+    [
+        pytest.param({"p": 1.0}, id="1.0"),
+        pytest.param({"p": 0.5}, id="0.5"),
+        pytest.param({"p": 0.5, "subsampling": "inherit"}, id="0.5-inherit"),
+        pytest.param({"p": 1.0, "every": 3}, id="1.0-every3"),
+        pytest.param({"p": 0.5, "subsampling": "inherit", "every": 3}, id="0.5-inherit-every3"),
+    ],
+)
+def test_vectorized_curvature_matches_scalar_replay(family, plugin):
     cfg = sh.config_from_dict(
         small_raw(
             model={"family": family, "theta": [0.6, -0.8]},
             n=200,
             replications=3,
             inference=["plugin"],
-            plugin={"p": p},
+            plugin=plugin,
         )
     )
     st = sh.replication_states(cfg)
     oracle = models.make_oracle(cfg.model)
-    d = cfg.model.dim
+    d, p = cfg.model.dim, cfg.plugin.p
     for rep in range(cfg.replications):
         rng = np.random.default_rng(cfg.seed + rep)
         x, z, v, mask = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n, p)
@@ -235,17 +245,65 @@ def test_vectorized_curvature_matches_scalar_replay(family, p):
             mask = np.ones((cfg.n, d, d), dtype=bool)
         y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
         state = kw.KwRunState.initial(d)
-        acc = HessianAccumulator(dim=d, p=p)
+        acc = HessianAccumulator(dim=d, p=p, mode=cfg.plugin.subsampling)
         for i in range(cfg.n):
             zeta = (x[i], y[i])
-            g, _, _ = hessian_entry_block(oracle, state.theta, zeta, cfg.sched.h(i + 1))
-            acc.accumulate_block(np.where(mask[i], g, 0.0), mask[i])
+            if (i + 1) % cfg.plugin.every == 0:
+                g, _, _ = hessian_entry_block(oracle, state.theta, zeta, cfg.sched.h(i + 1))
+                acc.accumulate_block(np.where(mask[i], g, 0.0), mask[i])
             kw.step(
                 state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
                 zeta=zeta, dir_batch=v[i],
             )
         assert acc.count == st.hess_count[rep]
         assert np.allclose(acc.running_sum, st.hess[rep], rtol=1e-9, atol=1e-12)
+
+
+def _block_free_tape(draw, n):
+    """A ``draw_block`` that serves each replication's tape from one
+    full-length ``draw``, so the tape does not depend on the block size."""
+    tapes = {}
+
+    def served(rng, oracle, dist, mode, size, mask_p=None):
+        if id(rng) not in tapes:
+            tapes[id(rng)] = [draw(rng, oracle, dist, mode, n, mask_p), 0]
+        tape, lo = tapes[id(rng)]
+        tapes[id(rng)][1] = lo + size
+        return tuple(None if a is None else a[lo:lo + size] for a in tape)
+
+    return served
+
+
+# On one tape, the engine's sums and records must not depend on how many
+# steps it takes from the tape at a time.
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_records_do_not_depend_on_block(monkeypatch, p):
+    cfg = sh.config_from_dict(
+        small_raw(
+            model={"family": "logistic", "theta": [0.6, -0.8]},
+            directions={"kind": "spherical", "m": 2},
+            replications=3,
+            checkpoints=[130],
+            plugin={"p": p},
+        )
+    )
+    draw, run_chunk = sh.draw_block, sh._run_chunk
+    runs = []
+    for block in (1, 100, 1024):
+        monkeypatch.setattr(sh, "draw_block", _block_free_tape(draw, cfg.n))
+        st = sh.replication_states(cfg, block=block)
+        monkeypatch.setattr(sh, "draw_block", _block_free_tape(draw, cfg.n))
+        monkeypatch.setattr(sh, "_run_chunk", functools.partial(run_chunk, block=block))
+        runs.append((st, sh.run_experiment(cfg)))
+        monkeypatch.setattr(sh, "_run_chunk", run_chunk)
+    (st0, report0), *others = runs
+    assert report0.checkpoint_records
+    for st, report in others:
+        for name in ("theta_bar", "gram", "hess", "hess_count", "sc_a", "sc_b", "sc_s",
+                     "queries", "n_done"):
+            assert np.array_equal(getattr(st, name), getattr(st0, name)), name
+        assert report.records == report0.records
+        assert report.checkpoint_records == report0.checkpoint_records
 
 
 @pytest.mark.parametrize("family", models.FAMILIES)
@@ -262,8 +320,9 @@ def test_pair_losses_match_dense_probe(family, d):
     dense = oracle.linpred_loss(
         u0[:, None, None] + h * (x[:, :, None] + x[:, None, :]), y[:, None, None]
     )
-    got = sh._pair_losses(oracle, u0, y, x, h, sh._pair_index(d))
-    assert np.array_equal(got, dense)
+    ends, pair = sh._pair_index(d)
+    got = sh._pair_losses(oracle, u0, y, x.T, h, ends)  # (pairs, c)
+    assert np.array_equal(got.T[:, pair], dense)
 
 
 def test_chunking_and_workers_do_not_change_results():
@@ -319,6 +378,25 @@ def test_divergent_replications_marked_aborted():
     for r in aborted:
         assert r.ci_center is None and r.covered is None
     assert report.summary["aborted"] == len(aborted) // len(sh.METHODS)
+
+
+def test_aborts_are_counted_without_inference_records():
+    cfg = sh.config_from_dict(
+        {
+            "name": "t",
+            "model": {"family": "linear", "theta": [0.6, -0.8]},
+            "directions": {"kind": "canonical"},
+            "schedules": {"eta0": 1e4},
+            "n": 200,
+            "replications": 4,
+            "seed": 5,
+            "inference": [],
+        }
+    )
+    report = sh.run_experiment(cfg)
+    assert report.records == []
+    assert report.summary["aborted"] == 4
+    assert report.summary["replications"] == 4
 
 
 def test_rm_baseline_beats_kw_variance():

@@ -215,6 +215,22 @@ def test_within_guard_rule_per_row():
     assert kw.within_guard(np.zeros(3))
 
 
+def test_within_guard_equals_finite_and_bounded_rule():
+    # the rule spelled out: every entry finite, and max|θ| <= DIVERGENCE_LIMIT
+    limit = kw.DIVERGENCE_LIMIT
+    specials = np.array([np.nan, np.inf, -np.inf, limit, -limit, np.nextafter(limit, np.inf)])
+    rng = np.random.default_rng(3)
+    for shape in [(50, 1), (50, 2), (40, 5), (7, 3, 4)]:
+        theta = rng.standard_normal(shape) * 10.0 ** rng.integers(0, 9, shape)
+        hit = rng.random(shape) < 0.1
+        theta[hit] = rng.choice(specials, hit.sum())
+        want = np.isfinite(theta).all(axis=-1) & (np.abs(theta).max(axis=-1) <= limit)
+        with np.errstate(invalid="ignore"):
+            got = kw.within_guard(theta)
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < want.size
+
+
 def test_newton_step_identity_hessian_matches_plain_kw():
     oracle, _ = linear_oracle()
     dist = dirs.DirectionDistribution("canonical", 2)
