@@ -17,10 +17,10 @@ inputs. Per group of steps, ``_StepGroup.fold`` adds what never feeds back
 into the recurrence: the gradient Gram as one batched gᵀg, the four-point
 curvature probe laid out pair-major as (pairs, steps, C), the three
 random-scaling sums, the queries and n_done. Groups end at absolute step
-indices (their length depends on d only), at checkpoints and at n, so
-records do not depend on the tape block. Every per-step and per-entry
-expression is the one a step-by-step engine would evaluate; only the order
-of summation over steps differs.
+indices (their length depends on d only), at checkpoints and at n, so the
+folded sums do not depend on where tape blocks end. Every per-step and
+per-entry expression is the one a step-by-step engine would evaluate; only
+the order of summation over steps differs.
 
 The engine shares its math with the library: directions come from
 ``directions.draw_directions``, exact gradients from
@@ -372,10 +372,11 @@ def draw_block(
 ):
     """Draw one replication's randomness for ``size`` iterations.
 
-    Fixed stream order — covariate normals, noise, directions, optional
-    Bernoulli entry mask — so a replication's tape is identical no matter
-    how iterations are blocked or replications chunked. Both the
-    vectorized engine and the scalar reference replay consume this.
+    Fixed stream order within a call — covariate normals, noise,
+    directions, optional Bernoulli entry mask — so a replication's tape
+    does not depend on how replications are chunked. It does depend on the
+    block length: two calls of 100 draw a different tape than one of 200.
+    Both the vectorized engine and the scalar reference replay consume this.
     """
     d = oracle.spec.dim
     x = rng.standard_normal((size, d)) @ oracle.chol.T
@@ -464,10 +465,6 @@ def summarize_records(records: list[ReplicationRecord]) -> dict:
 # S·(pairs + d) <= FOLD_BUDGET, so the probe fold's (pairs, S, C) arrays stay
 # near C·FOLD_BUDGET elements. S depends on d only, never on the tape block.
 FOLD_BUDGET = 1024
-
-
-def _group_length(d: int) -> int:
-    return max(1, FOLD_BUDGET // (d * (d + 1) // 2 + d))
 
 
 class _ChunkState:
@@ -593,11 +590,11 @@ class _StepGroup:
 
     def __init__(self, cfg: ExperimentConfig, oracle: models.LossOracle, c: int):
         d = cfg.model.dim
-        size = _group_length(d)
+        self.ends, self.pair = _pair_index(d)
+        size = max(1, FOLD_BUDGET // (self.ends.shape[1] + d))
         self.cfg, self.oracle, self.size = cfg, oracle, size
         self.start = self.steps = self.probes = 0
         self.step_queries = cfg.mode.m + 1 if cfg.algorithm == "akw" else 1
-        self.ends, self.pair = _pair_index(d)
         self.grads = self.f0 = self.mask = self.proj = None
         if "plugin" in cfg.inference:
             self.grads = np.empty((size, c, d))
@@ -768,7 +765,8 @@ def _run_chunk(
 def replication_states(cfg: ExperimentConfig, block: int = 1024) -> _ChunkState:
     """Run every replication and return the raw final-state arrays
     (averaged iterates, accumulators) for direct inspection. ``block``
-    bounds the tape length held in memory at once."""
+    bounds the tape length held in memory at once; it also selects the
+    tape (see ``draw_block``)."""
     c_true = _oracle_truth(cfg)
     reps = np.arange(cfg.replications)
     _, _, st = _run_chunk(cfg, reps, c_true, spectral_norm(c_true), block)
