@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -20,16 +19,6 @@ from . import recipes, simharness
 from .random_scaling import ONE_SIDED_QUANTILES, simulate_pivot_quantiles
 
 __all__ = ["main", "build_parser"]
-
-
-def _default_workers() -> int:
-    env = os.environ.get("ZOKW_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,8 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="replication chunks (default: ZOKW_WORKERS or CPU count)")
+        p.add_argument("--workers", default=None,
+                       help="worker processes, one replication chunk each "
+                            "(default: ZOKW_WORKERS or the usable CPU count)")
         p.add_argument("--output-dir", default="runs", help="report directory root")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-key config override, repeatable")
@@ -122,7 +112,7 @@ def _build_config(raw: dict, args) -> simharness.ExperimentConfig:
 
 
 def _execute(cfgs: list[simharness.ExperimentConfig], args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = simharness.resolve_workers(args.workers)
     reports = simharness.sweep(cfgs, workers=workers)
     status = 0
     for report in reports:

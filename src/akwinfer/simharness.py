@@ -6,21 +6,29 @@ replication loop is vectorized across replications (every loss in
 ``models`` depends on theta only through the linear predictor, so a whole
 batch of replications advances with a handful of array operations per
 iteration); randomness is drawn per replication from ``default_rng(seed +
-replication)`` in a fixed block order so results do not depend on how
-replications are chunked.
+replication)`` in a fixed block order.
+
+Replications are split into contiguous chunks that run in worker
+processes, and the records are merged in replication order. Every
+expression in the engine is evaluated per row: elementwise operations,
+reductions over a row's own coordinates (never a BLAS product across
+rows), and sums over steps added in step order (``_step_sum``). No result
+therefore depends on which other replications share a chunk, and records,
+checkpoints and summaries are byte-identical for every worker count and
+chunk split.
 
 The engine runs in two phases over (C, ...) arrays with one row per
 replication. Per step it runs only the averaged Kiefer–Wolfowitz
 recurrence (u0 and f0, the direction losses, the gradient, the θ update,
-the divergence guard and θ̄) and records the gradient, w·θ̄ and the probe
+the divergence guard and θ̄) and records the gradient, θ̄ and the probe
 inputs. Per group of steps, ``_StepGroup.fold`` adds what never feeds back
-into the recurrence: the gradient Gram as one batched gᵀg, the four-point
-curvature probe laid out pair-major as (pairs, steps, C), the three
-random-scaling sums, the queries and n_done. Groups end at absolute step
-indices (their length depends on d only), at checkpoints and at n, so the
-folded sums do not depend on where tape blocks end. Every per-step and
-per-entry expression is the one a step-by-step engine would evaluate; only
-the order of summation over steps differs.
+into the recurrence: the gradient Gram, the four-point curvature probe
+laid out pair-major as (pairs, steps, C), the three random-scaling sums,
+the queries and n_done. Groups end at absolute step indices (their length
+depends on d only), at checkpoints and at n, so the folded sums do not
+depend on where tape blocks end. Every per-step and per-entry expression
+is the one a step-by-step engine would evaluate; only the order of
+summation over steps differs.
 
 The engine shares its math with the library: directions come from
 ``directions.draw_directions``, exact gradients from
@@ -38,6 +46,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import tempfile
 import time
@@ -71,8 +80,8 @@ __all__ = [
     "parse_config",
     "config_from_dict",
     "draw_block",
+    "resolve_workers",
     "run_experiment",
-    "run_rm_baseline",
     "sweep",
     "summarize_records",
     "write_report",
@@ -461,6 +470,9 @@ def summarize_records(records: list[ReplicationRecord]) -> dict:
 
 # -- the vectorized replication engine ------------------------------------
 
+# Most replications one chunk holds; it bounds the (C, B, ...) tape buffers.
+MAX_CHUNK = 256
+
 # Per-replication element budget of one step group: S steps with
 # S·(pairs + d) <= FOLD_BUDGET, so the probe fold's (pairs, S, C) arrays stay
 # near C·FOLD_BUDGET elements. S depends on d only, never on the tape block.
@@ -577,14 +589,25 @@ def _pair_losses(
     return oracle.linpred_loss(u0 + h * (xt[k] + xt[l]), y)
 
 
+def _step_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of the C-contiguous ``a`` over its step axis, adding the steps in
+    order. numpy reduces an axis with more than one element after it slab by
+    slab, in order; an axis with one element after it (a one-row chunk's) it
+    sums pairwise, so there the steps go through a cumulative sum instead."""
+    if math.prod(a.shape[axis + 1:]) > 1:
+        return a.sum(axis=axis)
+    return np.take(a.cumsum(axis=axis), -1, axis=axis)
+
+
 class _StepGroup:
     """What the recurrence leaves behind over one group of steps.
 
     The step loop records each step's gradient (zero once a replication has
-    stopped) and w·θ̄ and, at curvature-probe steps, x, y, u0, f0, h and the
+    stopped) and θ̄ and, at curvature-probe steps, x, y, u0, f0, h and the
     entry mask. ``fold`` adds the Gram, the curvature probe, the three
-    random-scaling sums, the queries and n_done to the chunk state in a few
-    batched operations. A replication is live after step i while
+    random-scaling sums of w·θ̄, the queries and n_done to the chunk state in
+    a few batched operations. The Gram and the probe are laid out pair-major,
+    (pairs, steps, C). A replication is live after step i while
     ``i < abort_step``.
     """
 
@@ -595,24 +618,24 @@ class _StepGroup:
         self.cfg, self.oracle, self.size = cfg, oracle, size
         self.start = self.steps = self.probes = 0
         self.step_queries = cfg.mode.m + 1 if cfg.algorithm == "akw" else 1
-        self.grads = self.f0 = self.mask = self.proj = None
+        self.grads = self.f0 = self.mask = self.theta_bar = None
         if "plugin" in cfg.inference:
-            self.grads = np.empty((size, c, d))
+            # coordinates first, for the pair gather
+            self.grads, self.x = np.empty((d, size, c)), np.empty((d, size, c))
             self.h = np.empty((size, 1))
-            self.x = np.empty((d, size, c))  # coordinates first, for the pair gather
             self.y, self.u0 = np.empty((size, c)), np.empty((size, c))
             if cfg.algorithm == "akw":  # rm evaluates no f0 in its step
                 self.f0 = np.empty((size, c))
             if cfg.plugin.p < 1.0:
                 self.mask = np.empty((size, c, d, d), dtype=bool)
         if "random_scaling" in cfg.inference:
-            self.proj = np.empty((size, c))
+            self.theta_bar = np.empty((size, c, d))
 
     def record(self, i, st, g, x, y, u0, f0, h, mask) -> None:
         s = self.steps
         self.steps += 1
         if self.grads is not None:
-            self.grads[s] = g
+            self.grads[:, s] = g.T
             if i % self.cfg.plugin.every == 0:
                 q = self.probes
                 self.probes += 1
@@ -621,8 +644,8 @@ class _StepGroup:
                     self.f0[q] = f0
                 if self.mask is not None:
                     self.mask[q] = mask
-        if self.proj is not None:
-            self.proj[s] = st.theta_bar @ self.cfg.w
+        if self.theta_bar is not None:
+            self.theta_bar[s] = st.theta_bar
 
     def fold(self, st: _ChunkState) -> None:
         k = self.steps
@@ -633,16 +656,18 @@ class _StepGroup:
         self.steps = 0
         st.n_done = np.minimum(self.start, st.abort_step - 1)
         if self.grads is not None:
-            g = self.grads[:k]
-            st.gram += np.matmul(g.transpose(1, 2, 0), g.transpose(1, 0, 2))
+            # each pair's product once; IEEE multiplication commutes
+            g, (k_end, l_end) = self.grads[:, :k], self.ends
+            st.gram += _step_sum(g[k_end] * g[l_end], 1).T[:, self.pair]
             if self.probes:
                 self._fold_probe(st, live[steps % self.cfg.plugin.every == 0])
-        if self.proj is not None:
+        if self.theta_bar is not None:
             i = steps.astype(float)
-            w_i, p = (i * i)[:, None], self.proj[:k]
+            w_i = (i * i)[:, None]
+            p = (self.theta_bar[:k] * self.cfg.w).sum(axis=-1)  # w·θ̄, (k, C)
 
             def live_sum(term):
-                return np.where(live, term, 0.0).sum(axis=0)
+                return _step_sum(np.where(live, term, 0.0), 0)
 
             st.sc_a, st.sc_a_c = kahan_add(st.sc_a, st.sc_a_c, live_sum(w_i * (p * p)))
             st.sc_b, st.sc_b_c = kahan_add(st.sc_b, st.sc_b_c, live_sum(w_i * p))
@@ -676,7 +701,7 @@ class _StepGroup:
                     prev = np.where(live[j], raw[:, :, j], prev)
                 st.hess_prev[:, ends, ends[::-1]] = np.moveaxis(prev, -1, 0)
         sym = 0.5 * (raw[0] + raw[1])  # symmetric_part, one pair at a time
-        st.hess += np.where(live, sym, 0.0).sum(axis=1).T[:, self.pair]
+        st.hess += _step_sum(np.where(live, sym, 0.0), 1).T[:, self.pair]
         st.hess_count += live.sum(axis=0)
         st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)
 
@@ -712,13 +737,15 @@ def _run_chunk(
                     None if a is None else np.empty((c, width) + a.shape[1:], a.dtype)
                     for a in drawn
                 ]
+                u_star = np.empty((c, width))
             for buf, a in zip(tape, drawn):
                 if a is not None:
                     buf[j, :size] = a
+            # x·θ* as a sum over each (B, d) row's own coordinates: a BLAS
+            # gemv rounds a row by its position in the matrix
+            u_star[j, :size] = (drawn[0] * cfg.model.theta_star).sum(axis=-1)
         xs, zs, vs, masks = (None if b is None else b[:, :size] for b in tape)
-        # step-major (B, C, ...) slices: each step's (C, d) view of xs takes
-        # the same BLAS and einsum paths as it would on its own
-        ys = oracle.response_from_noise(xs.transpose(1, 0, 2) @ cfg.model.theta_star, zs.T)
+        ys = oracle.response_from_noise(u_star[:, :size], zs).T  # step-major (B, C)
         xvs = np.einsum("cbd,cbmd->bcm", xs, vs) if akw else None
         for t in range(size):
             i += 1
@@ -762,14 +789,71 @@ def _run_chunk(
     return _method_records(cfg, st, c_true, c_norm), checkpoint_records, st
 
 
-def replication_states(cfg: ExperimentConfig, block: int = 1024) -> _ChunkState:
-    """Run every replication and return the raw final-state arrays
-    (averaged iterates, accumulators) for direct inspection. ``block``
-    bounds the tape length held in memory at once; it also selects the
-    tape (see ``draw_block``)."""
-    c_true = _oracle_truth(cfg)
+def resolve_workers(workers: int | str | None = None) -> int:
+    """Worker processes for a run: ``workers`` if given, else the
+    ``ZOKW_WORKERS`` environment variable, else the CPUs this process may
+    run on. A value that is not an integer of at least 1 is a
+    ``ConfigError``."""
+    where = "workers"
+    if workers is None:
+        workers, where = os.environ.get("ZOKW_WORKERS", ""), "ZOKW_WORKERS"
+        if not workers.strip():
+            return len(os.sched_getaffinity(0))
+    try:
+        count = int(workers) if isinstance(workers, str) else operator.index(workers)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{where} must be an integer of at least 1, got {workers!r}")
+    return count
+
+
+def _map_chunks(fn, cfg: ExperimentConfig, workers: int | None, *args) -> list:
+    """``fn(cfg, reps, *args)`` over contiguous chunks of the replication
+    indices, in replication order: one chunk per worker, and more where a
+    chunk would exceed ``MAX_CHUNK`` rows. With more than one worker the
+    chunks run in a pool of worker processes, which is shut down before this
+    returns; a chunk's exception reaches the caller. The workers are forked,
+    so they start without importing numpy and akwinfer again; the pool
+    forks them all before it starts its own thread."""
+    processes = min(resolve_workers(workers), cfg.replications)
     reps = np.arange(cfg.replications)
-    _, _, st = _run_chunk(cfg, reps, c_true, spectral_norm(c_true), block)
+    chunks = np.array_split(reps, max(processes, -(-cfg.replications // MAX_CHUNK)))
+    if processes == 1:
+        return [fn(cfg, chunk, *args) for chunk in chunks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(processes, mp_context=context) as pool:
+        futures = [pool.submit(fn, cfg, chunk, *args) for chunk in chunks]
+        return [f.result() for f in futures]
+
+
+def _chunk_state(cfg, reps, c_true, c_norm, block):
+    return _run_chunk(cfg, reps, c_true, c_norm, block)[2]
+
+
+def _chunk_records(cfg, reps, c_true, c_norm):
+    """A chunk's records, checkpoint records and abort count; its (C, d, d)
+    state stays in the worker."""
+    records, checkpoint_records, st = _run_chunk(cfg, reps, c_true, c_norm)
+    return records, checkpoint_records, int(np.count_nonzero(~st.active))
+
+
+def replication_states(
+    cfg: ExperimentConfig, block: int = 1024, workers: int | None = None
+) -> _ChunkState:
+    """Run every replication and return the raw final-state arrays
+    (averaged iterates, accumulators) for direct inspection, the chunks'
+    rows concatenated in replication order. ``block`` bounds the tape
+    length held in memory at once; it also selects the tape (see
+    ``draw_block``). ``workers`` is resolved by ``resolve_workers``."""
+    c_true = _oracle_truth(cfg)
+    states = _map_chunks(_chunk_state, cfg, workers, c_true, spectral_norm(c_true), block)
+    st = states[0]
+    for name in vars(st):
+        setattr(st, name, np.concatenate([getattr(s, name) for s in states]))
     return st
 
 
@@ -778,27 +862,23 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run every replication and aggregate the per-replication metrics.
 
-    Replications are processed in index-ordered chunks of fixed size (the
-    schedulable unit for workers); chunk boundaries never depend on the
-    worker count because array width changes the floating-point summation
-    order at the 1e-12 level, and the output files must be byte-identical
-    for any worker count. Each replication's randomness comes from
-    ``default_rng(seed + replication)``.
+    The replications run in contiguous chunks on ``resolve_workers(workers)``
+    worker processes (inline for one worker; see ``_map_chunks``), and the
+    records are merged in replication order. The engine's arithmetic is
+    per row (see the module docstring), so the output files are
+    byte-identical for any worker count. Each replication's randomness
+    comes from ``default_rng(seed + replication)``.
     """
     started = time.perf_counter()
     c_true = _oracle_truth(cfg)
     c_norm = spectral_norm(c_true)
-    del workers  # chunking is deliberately worker-independent
-    chunk = min(cfg.replications, 256)
     records: list[ReplicationRecord] = []
     checkpoint_records: list[ReplicationRecord] = []
-    all_reps = np.arange(cfg.replications)
     aborted = 0
-    for lo in range(0, cfg.replications, chunk):
-        recs, cps, st = _run_chunk(cfg, all_reps[lo:lo + chunk], c_true, c_norm)
+    for recs, cps, chunk_aborted in _map_chunks(_chunk_records, cfg, workers, c_true, c_norm):
         records.extend(recs)
         checkpoint_records.extend(cps)
-        aborted += int(np.count_nonzero(~st.active))
+        aborted += chunk_aborted
     checkpoint_records.sort(key=lambda r: (r.n, r.replication, METHODS.index(r.method)))
     summary = summarize_records(records)
     summary.update(
@@ -819,29 +899,6 @@ def run_experiment(
         summary=summary,
         wall_time=time.perf_counter() - started,
     )
-
-
-def run_rm_baseline(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
-    """Same experiment with exact per-sample gradients (averaged RM run);
-    oracle comparisons use the gradient-noise matrix in place of Q."""
-    name = cfg.name if cfg.name.endswith("-rm") else cfg.name + "-rm"
-    rm_cfg = ExperimentConfig(
-        model=cfg.model,
-        dist=cfg.dist,
-        mode=cfg.mode,
-        sched=cfg.sched,
-        n=cfg.n,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        inference=cfg.inference,
-        w=cfg.w.copy(),
-        level=cfg.level,
-        checkpoints=cfg.checkpoints,
-        plugin=cfg.plugin,
-        algorithm="rm",
-        name=name,
-    )
-    return run_experiment(rm_cfg, workers)
 
 
 def sweep(cfgs: list[ExperimentConfig], workers: int | None = None) -> list[ExperimentReport]:

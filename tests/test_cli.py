@@ -133,6 +133,19 @@ def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_invalid_workers_are_config_errors(tmp_path, monkeypatch, capsys, value):
+    cfg = write_config(tmp_path, {**CONFIG, "n": 50, "replications": 2})
+    out = str(tmp_path / "o")
+    monkeypatch.delenv("ZOKW_WORKERS", raising=False)
+    assert main(["run", "--config", cfg, "--workers", value, "--output-dir", out]) == 1
+    assert "config error: workers must be an integer" in capsys.readouterr().err
+    monkeypatch.setenv("ZOKW_WORKERS", value)
+    assert main(["run", "--config", cfg, "--output-dir", out]) == 1
+    assert "config error: ZOKW_WORKERS must be an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_run_warns_on_aborted_replications(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run", "--config", write_config(tmp_path, CONFIG), "--output-dir", out]) == 0

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -325,14 +327,137 @@ def test_pair_losses_match_dense_probe(family, d):
     assert np.array_equal(got.T[:, pair], dense)
 
 
-def test_chunking_and_workers_do_not_change_results():
-    cfg = sh.config_from_dict(small_raw(n=150, replications=5))
-    r1 = sh.run_experiment(cfg, workers=1)
-    r2 = sh.run_experiment(cfg, workers=4)
-    csv1 = sh._records_csv(r1.records, sh.CSV_FIELDS)
-    csv2 = sh._records_csv(r2.records, sh.CSV_FIELDS)
-    assert csv1 == csv2
-    assert r1.summary == r2.summary
+# d = 20 and 5 replications: at 3 and 5 workers some chunks hold one row,
+# where numpy takes other paths for gemv and for sums over steps. With
+# MAX_CHUNK = 2 a worker runs several chunks.
+def test_chunking_and_workers_do_not_change_results(monkeypatch):
+    cfg = sh.config_from_dict(
+        small_raw(
+            model={"family": "linear", "dim": 20},
+            n=150,
+            replications=5,
+            checkpoints=[70],
+        )
+    )
+    outputs = []
+    for workers, max_chunk in ((1, 256), (2, 256), (3, 256), (5, 256), (1, 2), (2, 2)):
+        monkeypatch.setattr(sh, "MAX_CHUNK", max_chunk)
+        r = sh.run_experiment(cfg, workers=workers)
+        outputs.append((
+            sh._records_csv(r.records, sh.CSV_FIELDS),
+            sh._records_csv(r.checkpoint_records, sh.CHECKPOINT_FIELDS),
+            json.dumps(r.summary, sort_keys=True),
+        ))
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+SPLIT_DIRECTIONS = {
+    "canonical": {"kind": "canonical"},
+    "spherical-m2": {"kind": "spherical", "m": 2},
+    "gaussian": {"kind": "gaussian"},
+    "canonical-m3-wor": {"kind": "canonical", "m": 3, "replacement": "without"},
+}
+SPLIT_PLUGINS = {
+    "1.0": {"p": 1.0},
+    "0.5-ipw": {"p": 0.5},
+    "0.5-inherit": {"p": 0.5, "subsampling": "inherit"},
+}
+SPLITS = ([6], [3, 3], [2, 1, 3], [1] * 6)
+
+
+# Every split of the replications into chunks, one-row chunks included,
+# gives each replication the same records, checkpoints and state bits.
+# n = 40 makes step groups of 40 (d = 1) and 29 (d = 7) steps, long enough
+# for numpy's pairwise summation; d = 20 is past the gemv kernels' row blocks.
+@pytest.mark.parametrize("family", models.FAMILIES)
+@pytest.mark.parametrize("d", [1, 7, 20])
+def test_records_do_not_depend_on_chunk_split(family, d):
+    for (dname, directions), (pname, plugin), algorithm in itertools.product(
+        SPLIT_DIRECTIONS.items(), SPLIT_PLUGINS.items(), sh.ALGORITHMS
+    ):
+        directions = dict(directions, m=min(directions.get("m", 1), d))
+        cfg = sh.config_from_dict(
+            small_raw(
+                model={"family": family, "dim": d},
+                directions=directions,
+                n=40,
+                checkpoints=[17],
+                plugin=plugin,
+                algorithm=algorithm,
+            )
+        )
+        c_true = sh._oracle_truth(cfg)
+        c_norm = sh.spectral_norm(c_true)
+        runs = []
+        for sizes in SPLITS:
+            bounds = np.cumsum([0] + sizes)
+            parts = [
+                sh._run_chunk(cfg, np.arange(lo, hi), c_true, c_norm)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            records = [r for recs, _, _ in parts for r in recs]
+            cps = sorted(
+                (r for _, cps, _ in parts for r in cps),
+                key=lambda r: (r.n, r.replication, sh.METHODS.index(r.method)),
+            )
+            states = {
+                name: np.concatenate([getattr(st, name) for _, _, st in parts])
+                for name in vars(parts[0][2])
+            }
+            runs.append((sizes, records, cps, states))
+        _, records0, cps0, states0 = runs[0]
+        case = f"{dname} {pname} {algorithm}"
+        assert cps0, case
+        for sizes, records, cps, states in runs[1:]:
+            assert records == records0, (case, sizes)
+            assert cps == cps0, (case, sizes)
+            for name, value in states.items():
+                assert np.array_equal(value, states0[name]), (case, sizes, name)
+
+
+def test_worker_processes_end_with_the_run():
+    cfg = sh.config_from_dict(small_raw(n=50, replications=4))
+    sh.run_experiment(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_chunk(cfg, reps, *args):
+    if 0 not in reps:
+        raise FloatingPointError(f"chunk {reps.tolist()} failed")
+    return _run_chunk_unpatched(cfg, reps, *args)
+
+
+_run_chunk_unpatched = sh._run_chunk
+
+
+# A chunk that raises in its worker must fail the run, not drop its
+# replications from the averages, and must leave no process behind.
+def test_worker_exception_reaches_caller(monkeypatch):
+    monkeypatch.setattr(sh, "_run_chunk", _failing_chunk)
+    cfg = sh.config_from_dict(small_raw(n=50, replications=4))
+    with pytest.raises(FloatingPointError, match=r"chunk \[2, 3\] failed"):
+        sh.run_experiment(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(FloatingPointError, match=r"chunk \[1\] failed"):
+        sh.replication_states(cfg, workers=4)
+    assert multiprocessing.active_children() == []
+
+
+def test_resolve_workers(monkeypatch):
+    monkeypatch.delenv("ZOKW_WORKERS", raising=False)
+    assert sh.resolve_workers() == len(os.sched_getaffinity(0))
+    assert sh.resolve_workers(3) == 3
+    assert sh.resolve_workers("2") == 2
+    monkeypatch.setenv("ZOKW_WORKERS", "5")
+    assert sh.resolve_workers() == 5
+    assert sh.resolve_workers(1) == 1  # an explicit count wins
+    for bad in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("ZOKW_WORKERS", bad)
+        with pytest.raises(sh.ConfigError, match="ZOKW_WORKERS"):
+            sh.resolve_workers()
+    for bad in (0, -3, "abc", 2.5):
+        with pytest.raises(sh.ConfigError, match="workers"):
+            sh.resolve_workers(bad)
 
 
 def test_write_and_read_report_round_trip(tmp_path):
@@ -400,12 +525,11 @@ def test_aborts_are_counted_without_inference_records():
 
 
 def test_rm_baseline_beats_kw_variance():
-    cfg = sh.config_from_dict(
-        small_raw(n=4000, replications=20, inference=["oracle"],
-                  directions={"kind": "gaussian"})
-    )
+    raw = small_raw(n=4000, replications=20, inference=["oracle"],
+                    directions={"kind": "gaussian"})
+    cfg = sh.config_from_dict(raw)
     akw = sh.run_experiment(cfg)
-    rm = sh.run_rm_baseline(cfg)
+    rm = sh.run_experiment(sh.config_from_dict(dict(raw, name="t-rm", algorithm="rm")))
     assert rm.config.algorithm == "rm"
     assert rm.run_id.startswith("t-rm-")
     assert (
