@@ -368,7 +368,8 @@ SPLITS = ([6], [3, 3], [2, 1, 3], [1] * 6)
 # Every split of the replications into chunks, one-row chunks included,
 # gives each replication the same records, checkpoints and state bits.
 # n = 40 makes step groups of 40 (d = 1) and 29 (d = 7) steps, long enough
-# for numpy's pairwise summation; d = 20 is past the gemv kernels' row blocks.
+# for numpy's pairwise summation; at d = 20 a gemv across the chunk's rows
+# rounds a row by its position.
 @pytest.mark.parametrize("family", models.FAMILIES)
 @pytest.mark.parametrize("d", [1, 7, 20])
 def test_records_do_not_depend_on_chunk_split(family, d):
@@ -421,13 +422,13 @@ def test_worker_processes_end_with_the_run():
     assert multiprocessing.active_children() == []
 
 
+_run_chunk_unpatched = sh._run_chunk
+
+
 def _failing_chunk(cfg, reps, *args):
     if 0 not in reps:
         raise FloatingPointError(f"chunk {reps.tolist()} failed")
     return _run_chunk_unpatched(cfg, reps, *args)
-
-
-_run_chunk_unpatched = sh._run_chunk
 
 
 # A chunk that raises in its worker must fail the run, not drop its
