@@ -31,8 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", default=None,
-                       help="worker processes, one replication chunk each "
-                            "(default: ZOKW_WORKERS or the usable CPU count)")
+                       help="replication chunks, run in worker processes, at "
+                            "most one per usable CPU (default: ZOKW_WORKERS "
+                            "or the usable CPU count)")
         p.add_argument("--output-dir", default="runs", help="report directory root")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-key config override, repeatable")

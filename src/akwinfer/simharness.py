@@ -789,16 +789,23 @@ def _run_chunk(
     return _method_records(cfg, st, c_true, c_norm), checkpoint_records, st
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``os.sched_getaffinity`` where the
+    platform has it, else ``os.cpu_count()``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | str | None = None) -> int:
-    """Worker processes for a run: ``workers`` if given, else the
-    ``ZOKW_WORKERS`` environment variable, else the CPUs this process may
-    run on. A value that is not an integer of at least 1 is a
-    ``ConfigError``."""
+    """Worker count for a run: ``workers`` if given, else the
+    ``ZOKW_WORKERS`` environment variable, else ``_usable_cpus()``. A value
+    that is not an integer of at least 1 is a ``ConfigError``."""
     where = "workers"
     if workers is None:
         workers, where = os.environ.get("ZOKW_WORKERS", ""), "ZOKW_WORKERS"
         if not workers.strip():
-            return len(os.sched_getaffinity(0))
+            return _usable_cpus()
     try:
         count = int(workers) if isinstance(workers, str) else operator.index(workers)
     except (TypeError, ValueError):
@@ -811,23 +818,32 @@ def resolve_workers(workers: int | str | None = None) -> int:
 def _map_chunks(fn, cfg: ExperimentConfig, workers: int | None, *args) -> list:
     """``fn(cfg, reps, *args)`` over contiguous chunks of the replication
     indices, in replication order: one chunk per worker, and more where a
-    chunk would exceed ``MAX_CHUNK`` rows. With more than one worker the
-    chunks run in a pool of worker processes, which is shut down before this
-    returns; a chunk's exception reaches the caller. The workers are forked,
-    so they start without importing numpy and akwinfer again; the pool
-    forks them all before it starts its own thread."""
-    processes = min(resolve_workers(workers), cfg.replications)
+    chunk would exceed ``MAX_CHUNK`` rows. The chunks run in a pool of at
+    most ``_usable_cpus()`` processes (each chunk is CPU-bound, so more would
+    only oversubscribe), or inline where that is one. The pool is shut down
+    before this returns; a chunk's exception cancels the chunks not yet
+    started and reaches the caller. The workers are forked where the
+    platform can fork, so they start without importing numpy and akwinfer
+    again; the pool forks them all before it starts its own thread."""
     reps = np.arange(cfg.replications)
-    chunks = np.array_split(reps, max(processes, -(-cfg.replications // MAX_CHUNK)))
+    n_chunks = max(min(resolve_workers(workers), cfg.replications),
+                   -(-cfg.replications // MAX_CHUNK))
+    chunks = np.array_split(reps, n_chunks)
+    processes = min(n_chunks, _usable_cpus())
     if processes == 1:
         return [fn(cfg, chunk, *args) for chunk in chunks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
     with ProcessPoolExecutor(processes, mp_context=context) as pool:
         futures = [pool.submit(fn, cfg, chunk, *args) for chunk in chunks]
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _chunk_state(cfg, reps, c_true, c_norm, block):
@@ -841,16 +857,14 @@ def _chunk_records(cfg, reps, c_true, c_norm):
     return records, checkpoint_records, int(np.count_nonzero(~st.active))
 
 
-def replication_states(
-    cfg: ExperimentConfig, block: int = 1024, workers: int | None = None
-) -> _ChunkState:
+def replication_states(cfg: ExperimentConfig, block: int = 1024) -> _ChunkState:
     """Run every replication and return the raw final-state arrays
     (averaged iterates, accumulators) for direct inspection, the chunks'
     rows concatenated in replication order. ``block`` bounds the tape
     length held in memory at once; it also selects the tape (see
-    ``draw_block``). ``workers`` is resolved by ``resolve_workers``."""
+    ``draw_block``). The worker count is ``resolve_workers(None)``."""
     c_true = _oracle_truth(cfg)
-    states = _map_chunks(_chunk_state, cfg, workers, c_true, spectral_norm(c_true), block)
+    states = _map_chunks(_chunk_state, cfg, None, c_true, spectral_norm(c_true), block)
     st = states[0]
     for name in vars(st):
         setattr(st, name, np.concatenate([getattr(s, name) for s in states]))
@@ -862,9 +876,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run every replication and aggregate the per-replication metrics.
 
-    The replications run in contiguous chunks on ``resolve_workers(workers)``
-    worker processes (inline for one worker; see ``_map_chunks``), and the
-    records are merged in replication order. The engine's arithmetic is
+    The replications run in contiguous chunks, one per worker
+    (``resolve_workers(workers)``), in worker processes, at most one per
+    usable CPU (inline for one; see ``_map_chunks``), and the records are
+    merged in replication order. The engine's arithmetic is
     per row (see the module docstring), so the output files are
     byte-identical for any worker count. Each replication's randomness
     comes from ``default_rng(seed + replication)``.

@@ -1,8 +1,10 @@
+import concurrent.futures
 import functools
 import itertools
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -435,18 +437,79 @@ def _failing_chunk(cfg, reps, *args):
 # replications from the averages, and must leave no process behind.
 def test_worker_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(sh, "_run_chunk", _failing_chunk)
+    monkeypatch.setattr(sh, "_usable_cpus", lambda: 2)
     cfg = sh.config_from_dict(small_raw(n=50, replications=4))
     with pytest.raises(FloatingPointError, match=r"chunk \[2, 3\] failed"):
         sh.run_experiment(cfg, workers=2)
     assert multiprocessing.active_children() == []
+    monkeypatch.setenv("ZOKW_WORKERS", "4")
     with pytest.raises(FloatingPointError, match=r"chunk \[1\] failed"):
-        sh.replication_states(cfg, workers=4)
+        sh.replication_states(cfg)
     assert multiprocessing.active_children() == []
+
+
+def _first_chunk_fails(cfg, reps, marks):
+    if reps[0] == 0:
+        raise FloatingPointError("first chunk failed")
+    time.sleep(0.2)
+    open(os.path.join(marks, str(reps[0])), "w").close()
+
+
+# A failed chunk cancels the chunks still queued instead of waiting for
+# them: of 19 slow chunks on 2 processes, only those already handed to
+# the pool run.
+def test_worker_exception_cancels_queued_chunks(monkeypatch, tmp_path):
+    monkeypatch.setattr(sh, "_usable_cpus", lambda: 2)
+    cfg = sh.config_from_dict(small_raw(n=50, replications=20))
+    with pytest.raises(FloatingPointError, match="first chunk failed"):
+        sh._map_chunks(_first_chunk_fails, cfg, 20, str(tmp_path))
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir(tmp_path)) < 10
+
+
+class _RecordingPool:
+    """Runs submitted calls inline and records the pool size asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+# The worker count sets the chunks; the pool never has more processes
+# than usable CPUs, however many workers are asked for.
+def test_pool_size_is_capped_by_usable_cpus(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sh, "_usable_cpus", lambda: 3)
+    _RecordingPool.sizes = []
+    cfg = sh.config_from_dict(small_raw(n=10, replications=8))
+    chunks = sh._map_chunks(lambda cfg, reps: reps.tolist(), cfg, 5000)
+    assert chunks == [[r] for r in range(8)]
+    assert _RecordingPool.sizes == [3]
+    monkeypatch.setenv("ZOKW_WORKERS", "5000")
+    sh.run_experiment(cfg)
+    assert _RecordingPool.sizes == [3, 3]
 
 
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("ZOKW_WORKERS", raising=False)
-    assert sh.resolve_workers() == len(os.sched_getaffinity(0))
+    assert sh.resolve_workers() == sh._usable_cpus()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sh.resolve_workers() == (os.cpu_count() or 1)
     assert sh.resolve_workers(3) == 3
     assert sh.resolve_workers("2") == 2
     monkeypatch.setenv("ZOKW_WORKERS", "5")
