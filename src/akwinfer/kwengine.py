@@ -22,7 +22,6 @@ __all__ = [
     "within_guard",
     "Schedules",
     "KwRunState",
-    "kw_gradient",
     "multi_query_gradient",
     "step",
     "run",
@@ -94,21 +93,6 @@ def _check_loss(value: float, theta: np.ndarray, h: float, v: np.ndarray) -> flo
             f"h={h:.3e}, |v|={np.sqrt((v * v).sum()):.3e}"
         )
     return value
-
-
-def kw_gradient(
-    oracle: LossOracle,
-    theta: np.ndarray,
-    zeta,
-    h: float,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Two-query forward-difference gradient surrogate along ``v``."""
-    if h <= 0.0:
-        raise ValueError("spacing parameter h must be positive")
-    base = _check_loss(oracle.loss(theta, zeta), theta, h, v)
-    shifted = _check_loss(oracle.loss(theta + h * v, zeta), theta, h, v)
-    return (shifted - base) / h * v
 
 
 def multi_query_gradient(
@@ -186,23 +170,17 @@ def run(
     rng: np.random.Generator,
     *,
     theta0: np.ndarray | None = None,
-    checkpoints=(),
-    on_checkpoint=None,
     iterate_log: list | None = None,
 ) -> KwRunState:
     """Run ``n`` optimizer steps from ``theta0`` (zero vector by default).
 
-    ``on_checkpoint(i, state)`` fires at each iteration listed in
-    ``checkpoints``; ``iterate_log`` (test mode) collects every iterate.
+    ``iterate_log`` (test mode) collects every iterate.
     """
     state = KwRunState.initial(dist.dim, theta0)
-    marks = set(checkpoints)
-    for i in range(1, n + 1):
+    for _ in range(n):
         step(state, oracle, dist, mode, sched, rng)
         if iterate_log is not None:
             iterate_log.append(state.theta.copy())
-        if i in marks and on_checkpoint is not None:
-            on_checkpoint(i, state)
     return state
 
 

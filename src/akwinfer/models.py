@@ -12,6 +12,7 @@ finite-difference evaluations stay cheap.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -167,11 +168,43 @@ def make_oracle(spec: ModelSpec) -> LossOracle:
 # -- population curvature and noise matrices ----------------------------
 
 _LOGISTIC_HESSIAN_CACHE: dict[tuple, np.ndarray] = {}
+_MC_CHUNK = 100_000
+
+
+def _logistic_fold(z, chol_t, theta, x, u, w, xw, gram):
+    """Weighted Gram ``x^T diag(w) x`` of one chunk of standard normals
+    ``z``, with ``x = z @ chol_t`` (``chol_t`` None: x is z itself) and
+    ``w = sigma'(x theta)``. Every result lands in the caller's buffers
+    (``x``, ``u``, ``w``, ``xw`` at least as long as ``z``), so a chunk
+    allocates nothing; returns ``gram``."""
+    k = z.shape[0]
+    if chol_t is not None:
+        z = np.matmul(z, chol_t, out=x[:k])
+    u, w, xw = u[:k], w[:k], xw[:k]
+    np.matmul(z, theta, out=u)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    np.add(1.0, u, out=u)
+    np.divide(1.0, u, out=u)
+    np.subtract(1.0, u, out=w)
+    np.multiply(u, w, out=w)
+    np.multiply(z, w[:, None], out=xw)
+    return np.matmul(xw.T, z, out=gram)
 
 
 def _logistic_hessian_mc(
     spec: ModelSpec, draws: int, seed: int
 ) -> np.ndarray:
+    """Monte-Carlo mean of ``sigma'(x theta*) x x^T`` over ``draws`` design
+    points, summed in chunks of ``_MC_CHUNK`` rows in chunk order.
+
+    Two stages overlap: this thread draws chunk k+1 of standard normals
+    into one of two ping-pong buffers while one helper thread folds chunk
+    k (``_logistic_fold``). The stream, the chunking and the order of the
+    sum are those of a plain sequential loop, so the result is the same
+    to the bit. The helper is joined before the function returns or
+    raises.
+    """
     key = (
         spec.theta_star.tobytes(),
         spec.design,
@@ -183,19 +216,33 @@ def _logistic_hessian_mc(
     if cached is not None:
         return cached
     rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(spec.design_cov())
     d = spec.dim
+    rows = min(_MC_CHUNK, draws)
+    # the Cholesky factor of I is I, whose product would only copy z
+    chol_t = None
+    if spec.design != "identity":
+        chol_t = np.linalg.cholesky(spec.design_cov()).T
+    bufs = (np.empty((rows, d)), np.empty((rows, d)))
+    scratch = (
+        None if chol_t is None else np.empty((rows, d)),
+        np.empty(rows),
+        np.empty(rows),
+        np.empty((rows, d)),
+        np.empty((d, d)),
+    )
     h = np.zeros((d, d))
-    chunk = 100_000
-    left = draws
-    while left > 0:
-        k = min(chunk, left)
-        x = rng.standard_normal((k, d)) @ chol.T
-        u = x @ spec.theta_star
-        sig = 1.0 / (1.0 + np.exp(-u))
-        w = sig * (1.0 - sig)
-        h += (x * w[:, None]).T @ x
-        left -= k
+    with ThreadPoolExecutor(1) as helper:
+        pending = None
+        for i, start in enumerate(range(0, draws, _MC_CHUNK)):
+            z = bufs[i % 2][: min(_MC_CHUNK, draws - start)]
+            rng.standard_normal(out=z)
+            if pending is not None:
+                h += pending.result()
+            pending = helper.submit(
+                _logistic_fold, z, chol_t, spec.theta_star, *scratch
+            )
+        if pending is not None:
+            h += pending.result()
     h = symmetrize(h / draws, rtol=1e-6)
     _LOGISTIC_HESSIAN_CACHE[key] = h
     return h
@@ -208,7 +255,10 @@ def analytic_hessian(
 
     Linear and quantile models have closed forms. The logistic model at a
     nonzero true parameter is integrated by Monte Carlo with a fixed seed
-    (cached per spec); at theta*=0 the closed form Sigma/4 is used.
+    (cached per spec and process; see ``_logistic_hessian_mc``, which
+    draws on the calling thread and folds on one helper thread, with the
+    bits of a sequential loop); at theta*=0 the closed form Sigma/4 is
+    used.
     """
     cov = spec.design_cov()
     if spec.family == "linear":

@@ -424,6 +424,25 @@ def test_worker_processes_end_with_the_run():
     assert multiprocessing.active_children() == []
 
 
+# With a cold cache the logistic truth starts and joins its helper thread
+# before the pool forks; the files match those of an inline run.
+def test_cold_logistic_truth_then_workers_write_identical_files(monkeypatch, tmp_path):
+    cfg = sh.config_from_dict(
+        small_raw(model={"family": "logistic", "dim": 3}, n=80, replications=4)
+    )
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
+        run_dir = sh.write_report(sh.run_experiment(cfg, workers=workers),
+                                  str(tmp_path / str(workers)))
+        outputs.append({
+            name: open(os.path.join(run_dir, name), "rb").read()
+            for name in sorted(os.listdir(run_dir))
+        })
+        assert multiprocessing.active_children() == []
+    assert outputs[0] == outputs[1]
+
+
 _run_chunk_unpatched = sh._run_chunk
 
 

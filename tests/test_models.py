@@ -1,11 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from akwinfer import directions as dirs
 from akwinfer import models
-from akwinfer.numkernel import sym_eigen
+from akwinfer.numkernel import sym_eigen, symmetrize
 
 
 def make_spec(family="linear", d=3, **kwargs):
@@ -141,6 +142,75 @@ def test_analytic_hessian_logistic_mc_is_symmetric_pd():
     assert sym_eigen(h).values.min() > 0
     # repeat call hits the cache and is identical
     assert np.array_equal(h, models.analytic_hessian(spec, mc_draws=200_000))
+
+
+def sequential_logistic_hessian(spec, draws, seed=20240501):
+    """The Monte-Carlo sum as one plain loop: draw, transform and fold each
+    chunk of 100 000 rows in turn."""
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(spec.design_cov())
+    d = spec.dim
+    h = np.zeros((d, d))
+    left = draws
+    while left > 0:
+        k = min(100_000, left)
+        x = rng.standard_normal((k, d)) @ chol.T
+        u = x @ spec.theta_star
+        sig = 1.0 / (1.0 + np.exp(-u))
+        w = sig * (1.0 - sig)
+        h += (x * w[:, None]).T @ x
+        left -= k
+    return symmetrize(h / draws, rtol=1e-6)
+
+
+# 250 001 draws end on a one-row chunk.
+@pytest.mark.parametrize("draws", [200_000, 250_001])
+@pytest.mark.parametrize("d", [1, 5, 20])
+@pytest.mark.parametrize("design", ["identity", "equicorr"])
+def test_logistic_hessian_mc_matches_sequential_loop(monkeypatch, design, d, draws):
+    monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
+    spec = make_spec("logistic", d=d, design=design)
+    h = models.analytic_hessian(spec, mc_draws=draws)
+    assert np.array_equal(h, sequential_logistic_hessian(spec, draws))
+    assert models.analytic_hessian(spec, mc_draws=draws) is h
+
+
+def test_logistic_hessian_mc_folds_on_a_helper_thread_it_joins(monkeypatch):
+    monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
+    fold_threads = []
+
+    def recording_fold(*args):
+        fold_threads.append(threading.get_ident())
+        return fold(*args)
+
+    fold = models._logistic_fold
+    monkeypatch.setattr(models, "_logistic_fold", recording_fold)
+    before = threading.active_count()
+    models.analytic_hessian(make_spec("logistic", d=5), mc_draws=250_001)
+    assert threading.active_count() == before
+    assert len(fold_threads) == 3
+    assert threading.get_ident() not in fold_threads
+
+
+# A fold that raises while the next chunk is being drawn fails the call,
+# joins the helper thread and caches nothing.
+def test_logistic_hessian_mc_fold_error_reaches_caller(monkeypatch):
+    monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
+    calls = []
+
+    def failing_fold(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise FloatingPointError("fold failed")
+        return fold(*args)
+
+    fold = models._logistic_fold
+    monkeypatch.setattr(models, "_logistic_fold", failing_fold)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="fold failed"):
+        models.analytic_hessian(make_spec("logistic", d=5), mc_draws=300_000)
+    assert threading.active_count() == before
+    assert models._LOGISTIC_HESSIAN_CACHE == {}
 
 
 def test_analytic_gram_values():
