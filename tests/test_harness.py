@@ -435,10 +435,11 @@ def test_cold_logistic_truth_then_workers_write_identical_files(monkeypatch, tmp
         monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
         run_dir = sh.write_report(sh.run_experiment(cfg, workers=workers),
                                   str(tmp_path / str(workers)))
-        outputs.append({
-            name: open(os.path.join(run_dir, name), "rb").read()
-            for name in sorted(os.listdir(run_dir))
-        })
+        files = {}
+        for name in sorted(os.listdir(run_dir)):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                files[name] = fh.read()
+        outputs.append(files)
         assert multiprocessing.active_children() == []
     assert outputs[0] == outputs[1]
 

@@ -163,7 +163,7 @@ def sequential_logistic_hessian(spec, draws, seed=20240501):
     return symmetrize(h / draws, rtol=1e-6)
 
 
-# 250 001 draws end on a one-row chunk.
+# 250 001 draws end on a short chunk of 50 001 rows.
 @pytest.mark.parametrize("draws", [200_000, 250_001])
 @pytest.mark.parametrize("d", [1, 5, 20])
 @pytest.mark.parametrize("design", ["identity", "equicorr"])
