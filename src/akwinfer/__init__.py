@@ -1,11 +1,12 @@
 """Gradient-free averaged stochastic optimization with online inference.
 
-Subpackages: ``numkernel`` (dense symmetric linear algebra), ``directions``
+Modules: ``numkernel`` (dense symmetric linear algebra), ``directions``
 (random search-direction laws and their noise-inflation matrices),
 ``models`` (loss oracles with closed-form ground truth), ``kwengine``
 (the optimizer), ``plugin_inference`` and ``random_scaling`` (two online
 confidence-interval constructions), ``simharness`` (Monte-Carlo
-experiment runner), ``cli`` (command line).
+experiment runner), ``recipes`` (frozen experiment configs), ``cli``
+(command line).
 """
 
 from . import (  # noqa: F401

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import LinAlgError, check_finite, sym_eigen, symmetrize
+from .numkernel import LinAlgError, check_finite, symmetrize
 
 __all__ = [
     "KINDS",
@@ -24,7 +24,6 @@ __all__ = [
     "sample_batch",
     "analytic_q",
     "analytic_q_multi",
-    "nonavg_covariance",
 ]
 
 KINDS = ("gaussian", "spherical", "canonical", "orthonormal", "nonuniform")
@@ -197,22 +196,3 @@ def analytic_q_multi(
         return q
     return (d - m) / (m * (d - 1)) * q + d * (m - 1) / (m * (d - 1)) * s
 
-
-def nonavg_covariance(q: np.ndarray, h: np.ndarray, eta0: float) -> np.ndarray:
-    """Asymptotic covariance of the final (non-averaged) iterate.
-
-    With the eigendecomposition ``H = P diag(lam) P^T``, the covariance is
-    ``P M P^T`` where ``M_kl = eta0 (P^T Q P)_kl / (lam_k + lam_l)``.
-    """
-    q = symmetrize(q, name="noise matrix")
-    eig = sym_eigen(h, name="curvature matrix")
-    lam = eig.values
-    if lam.min() <= 0.0:
-        raise LinAlgError(
-            f"curvature matrix must be positive definite "
-            f"(min eigenvalue {lam.min():.3e})"
-        )
-    p = eig.vectors
-    core = eta0 * (p.T @ q @ p) / (lam[:, None] + lam[None, :])
-    out = p @ core @ p.T
-    return 0.5 * (out + out.T)

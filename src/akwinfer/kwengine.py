@@ -9,7 +9,7 @@ divergence rule ``within_guard`` with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "multi_query_gradient",
     "step",
     "run",
-    "newton_step",
-    "run_newton",
 ]
 
 DIVERGENCE_LIMIT = 1e8
@@ -120,20 +118,6 @@ def multi_query_gradient(
     return g / m
 
 
-def _post_update(state: KwRunState, g: np.ndarray, eta: float) -> None:
-    theta = state.theta - eta * g
-    if not within_guard(theta):
-        state.aborted = True
-        raise DivergenceError(
-            f"iterate exceeded divergence guard at step {state.n + 1}: "
-            f"|theta|={np.abs(theta).max():.3e}"
-        )
-    state.n += 1
-    state.theta = theta
-    state.theta_bar = state.theta_bar + (theta - state.theta_bar) / state.n
-    state.last_gradient = g
-
-
 def step(
     state: KwRunState,
     oracle: LossOracle,
@@ -156,7 +140,17 @@ def step(
     if dir_batch is None:
         dir_batch = sample_batch(dist, mode, rng)
     g = multi_query_gradient(oracle, state.theta, zeta, sched.h(n), dir_batch)
-    _post_update(state, g, sched.eta(n))
+    theta = state.theta - sched.eta(n) * g
+    if not within_guard(theta):
+        state.aborted = True
+        raise DivergenceError(
+            f"iterate exceeded divergence guard at step {n}: "
+            f"|theta|={np.abs(theta).max():.3e}"
+        )
+    state.n = n
+    state.theta = theta
+    state.theta_bar = state.theta_bar + (theta - state.theta_bar) / n
+    state.last_gradient = g
     state.query_count += dir_batch.shape[0] + 1
     return state
 
@@ -183,67 +177,3 @@ def run(
             iterate_log.append(state.theta.copy())
     return state
 
-
-def newton_step(
-    state: KwRunState,
-    oracle: LossOracle,
-    dist: DirectionDistribution,
-    hessian_inverse: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    h_sched: Schedules = Schedules(),
-    zeta=None,
-    dir_batch: np.ndarray | None = None,
-) -> KwRunState:
-    """Curvature-preconditioned step with the fixed ``1/n`` step size.
-
-    The caller supplies a (thresholded, hence well-conditioned) inverse
-    curvature estimate; the final iterate, not the average, is the
-    estimator for this variant.
-    """
-    n = state.n + 1
-    if zeta is None:
-        zeta = oracle.sample(rng)
-    if dir_batch is None:
-        dir_batch = sample_batch(dist, QueryMode(m=1), rng)
-    g = multi_query_gradient(oracle, state.theta, zeta, h_sched.h(n), dir_batch)
-    _post_update(state, hessian_inverse @ g, 1.0 / n)
-    state.query_count += dir_batch.shape[0] + 1
-    return state
-
-
-def run_newton(
-    oracle: LossOracle,
-    dist: DirectionDistribution,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    hessian_accumulator=None,
-    hessian_inverse: np.ndarray | None = None,
-    h_sched: Schedules = Schedules(),
-    refresh_every: int = 1,
-    theta0: np.ndarray | None = None,
-) -> KwRunState:
-    """Preconditioned run; the inverse curvature is either fixed or
-    re-estimated online from ``hessian_accumulator`` (two-sided thresholds).
-    """
-    from .numkernel import sym_inverse
-    from .plugin_inference import thresholded_hessian
-
-    if (hessian_accumulator is None) == (hessian_inverse is None):
-        raise ValueError(
-            "provide exactly one of hessian_accumulator / hessian_inverse"
-        )
-    state = KwRunState.initial(dist.dim, theta0)
-    h_inv = hessian_inverse
-    for i in range(1, n + 1):
-        if hessian_accumulator is not None:
-            zeta = oracle.sample(rng)
-            queries = hessian_accumulator.update(
-                oracle, state.theta, zeta, h_sched.h(i), rng
-            )
-            state.query_count += queries
-            if i == 1 or i % refresh_every == 0 or h_inv is None:
-                h_inv = sym_inverse(thresholded_hessian(hessian_accumulator))
-        newton_step(state, oracle, dist, h_inv, rng, h_sched=h_sched)
-    return state

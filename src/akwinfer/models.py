@@ -25,7 +25,6 @@ __all__ = [
     "FAMILIES",
     "ModelSpec",
     "LossOracle",
-    "make_oracle",
     "theta_on_unit_sphere",
     "analytic_hessian",
     "analytic_gram",
@@ -155,20 +154,14 @@ class LossOracle:
             return -y / (1.0 + np.exp(y * u))
         return (y - u < 0.0) - self.spec.tau
 
-    def grad(self, theta: np.ndarray, zeta: tuple[np.ndarray, float]) -> np.ndarray:
-        """Exact per-sample (sub)gradient, used only by the RM baseline."""
-        x, y = zeta
-        return self.linpred_grad(x @ theta, y) * x
-
-
-def make_oracle(spec: ModelSpec) -> LossOracle:
-    return LossOracle(spec)
-
 
 # -- population curvature and noise matrices ----------------------------
 
 _LOGISTIC_HESSIAN_CACHE: dict[tuple, np.ndarray] = {}
 _MC_CHUNK = 100_000
+# draws and seed of the logistic truth at a nonzero theta*
+_MC_DRAWS = 1_000_000
+_MC_SEED = 20240501
 
 
 def _logistic_fold(z, chol_t, theta, x, u, w, xw, gram):
@@ -248,17 +241,15 @@ def _logistic_hessian_mc(
     return h
 
 
-def analytic_hessian(
-    spec: ModelSpec, mc_draws: int = 1_000_000, mc_seed: int = 20240501
-) -> np.ndarray:
+def analytic_hessian(spec: ModelSpec) -> np.ndarray:
     """Population curvature matrix at the true parameter.
 
     Linear and quantile models have closed forms. The logistic model at a
-    nonzero true parameter is integrated by Monte Carlo with a fixed seed
-    (cached per spec and process; see ``_logistic_hessian_mc``, which
-    draws on the calling thread and folds on one helper thread, with the
-    bits of a sequential loop); at theta*=0 the closed form Sigma/4 is
-    used.
+    nonzero true parameter is integrated by Monte Carlo over ``_MC_DRAWS``
+    draws with the fixed seed ``_MC_SEED`` (cached per spec and process;
+    see ``_logistic_hessian_mc``, which draws on the calling thread and
+    folds on one helper thread, with the bits of a sequential loop); at
+    theta*=0 the closed form Sigma/4 is used.
     """
     cov = spec.design_cov()
     if spec.family == "linear":
@@ -268,10 +259,10 @@ def analytic_hessian(
         return _STD_NORMAL.pdf(z) / math.sqrt(spec.sigma2) * cov
     if not spec.theta_star.any():
         return 0.25 * cov
-    return _logistic_hessian_mc(spec, mc_draws, mc_seed)
+    return _logistic_hessian_mc(spec, _MC_DRAWS, _MC_SEED)
 
 
-def analytic_gram(spec: ModelSpec, **mc_kwargs) -> np.ndarray:
+def analytic_gram(spec: ModelSpec) -> np.ndarray:
     """Gradient second-moment matrix at the true parameter."""
     cov = spec.design_cov()
     if spec.family == "linear":
@@ -279,7 +270,7 @@ def analytic_gram(spec: ModelSpec, **mc_kwargs) -> np.ndarray:
     if spec.family == "quantile":
         return spec.tau * (1.0 - spec.tau) * cov
     # well-specified logistic model: information equality S = H
-    return analytic_hessian(spec, **mc_kwargs)
+    return analytic_hessian(spec)
 
 
 def oracle_covariance(

@@ -28,8 +28,6 @@ __all__ = [
     "hessian_entry_block",
     "subsample_block",
     "symmetric_part",
-    "naive_hessian_update",
-    "thresholded_hessian",
     "plugin_covariance",
     "plugin_ci",
     "z_quantile",
@@ -129,8 +127,6 @@ class HessianAccumulator:
 
     dim: int
     p: float = 1.0
-    kappa1: float = 1e-3
-    kappa2: float | None = None
     mode: str = "ipw"
     running_sum: np.ndarray = field(default=None)  # type: ignore[assignment]
     count: int = 0
@@ -138,10 +134,6 @@ class HessianAccumulator:
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError("entry-update probability must lie in (0, 1]")
-        if self.kappa1 <= 0.0:
-            raise ValueError("eigenvalue floor kappa1 must be positive")
-        if self.kappa2 is not None and self.kappa2 <= self.kappa1:
-            raise ValueError("eigenvalue cap kappa2 must exceed kappa1")
         if self.mode not in ("ipw", "inherit"):
             raise ValueError("mode must be 'ipw' or 'inherit'")
         if self.running_sum is None:
@@ -165,61 +157,12 @@ class HessianAccumulator:
         return self.running_sum / self.count
 
 
-def naive_hessian_update(
-    oracle,
-    theta: np.ndarray,
-    zeta,
-    h: float,
-    u_batch: np.ndarray,
-    v_batch: np.ndarray,
-) -> np.ndarray:
-    """Rank-m random curvature probe along paired direction batches.
-
-    ``(1/(m h²)) Σ_j [Δ_{h v_j} f(θ+h u_j) − Δ_{h v_j} f(θ)] u_j v_j^T``;
-    symmetrization happens in the accumulator, as for the entrywise block.
-    """
-    u_batch = np.atleast_2d(u_batch)
-    v_batch = np.atleast_2d(v_batch)
-    if u_batch.shape != v_batch.shape:
-        raise ValueError("direction batches must have matching shapes")
-    m = u_batch.shape[0]
-    if m == 0:
-        raise ValueError("direction batches must not be empty")
-    if h <= 0.0:
-        raise ValueError("spacing parameter h must be positive")
-    base = oracle.loss(theta, zeta)
-    f_u = oracle.loss_batch(theta[None, :] + h * u_batch, zeta)
-    f_v = oracle.loss_batch(theta[None, :] + h * v_batch, zeta)
-    f_uv = oracle.loss_batch(theta[None, :] + h * (u_batch + v_batch), zeta)
-    coeff = (f_uv - f_u - f_v + base) / (h * h)
-    return (u_batch * coeff[:, None]).T @ v_batch / m
-
-
-def _floored_eigen(
-    h_mean: np.ndarray, kappa1: float, kappa2: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of the curvature mean, floored at
-    kappa1 and optionally capped at kappa2."""
-    eig = sym_eigen(h_mean, name="curvature estimate")
-    lam = np.maximum(kappa1, eig.values)
-    if kappa2 is not None:
-        lam = np.minimum(kappa2, lam)
-    return eig.vectors, lam
-
-
-def thresholded_hessian(acc: HessianAccumulator) -> np.ndarray:
-    """Eigenvalue-thresholded running-mean curvature: floor at kappa1,
-    optional cap at kappa2 (preconditioned-update mode)."""
-    vectors, lam = _floored_eigen(acc.mean(), acc.kappa1, acc.kappa2)
-    return (vectors * lam) @ vectors.T
-
-
 def plugin_covariance(h_mean: np.ndarray, g_mean: np.ndarray, kappa1: float) -> np.ndarray:
     """Sandwich estimate from the curvature and gradient-noise means: the
     inverse curvature with eigenvalues floored at kappa1 around the
     gradient-noise mean. The floor keeps the inverse bounded."""
-    vectors, lam = _floored_eigen(h_mean, kappa1)
-    h_inv = (vectors / lam) @ vectors.T
+    eig = sym_eigen(h_mean, name="curvature estimate")
+    h_inv = (eig.vectors / np.maximum(kappa1, eig.values)) @ eig.vectors.T
     return sandwich(0.5 * (h_inv + h_inv.T), symmetrize(g_mean, rtol=1e-8))
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "ScalingAccumulator",
     "ONE_SIDED_QUANTILES",
     "TWO_SIDED_CRITICAL_VALUES",
+    "critical_value",
     "kahan_add",
     "scaling_update",
     "assemble_v",
@@ -39,12 +40,21 @@ ONE_SIDED_QUANTILES = (
     (0.99, 8.613),
 )
 
-TWO_SIDED_CRITICAL_VALUES = {
-    0.80: 3.875,
-    0.90: 5.323,
-    0.95: 6.747,
-    0.98: 8.613,
-}
+# The same quantiles keyed by two-sided level 2p - 1 (0.8, 0.9, 0.95, 0.98).
+TWO_SIDED_CRITICAL_VALUES = {round(2 * p - 1, 12): q for p, q in ONE_SIDED_QUANTILES}
+
+
+def critical_value(level: float) -> float:
+    """Two-sided critical value of the pivot at a tabled level (within
+    1e-12); interpolating between tabled quantiles is refused rather than
+    silently approximated."""
+    for lvl, value in TWO_SIDED_CRITICAL_VALUES.items():
+        if abs(level - lvl) < 1e-12:
+            return value
+    supported = sorted(TWO_SIDED_CRITICAL_VALUES)
+    raise ValueError(
+        f"level {level} not in the critical-value table (supported: {supported})"
+    )
 
 
 @dataclass
@@ -108,23 +118,11 @@ def scaling_ci(
     n: int,
     level: float = 0.95,
 ) -> ConfidenceInterval:
-    """Studentized interval w^T theta_bar +/- cv * sqrt(w^T V w / n).
-
-    Only the tabled two-sided levels are supported; interpolating between
-    tabled quantiles is refused rather than silently approximated.
-    """
+    """Studentized interval w^T theta_bar +/- cv * sqrt(w^T V w / n), with
+    ``cv = critical_value(level)``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    cv = None
-    for lvl, value in TWO_SIDED_CRITICAL_VALUES.items():
-        if abs(level - lvl) < 1e-12:
-            cv = value
-            break
-    if cv is None:
-        supported = sorted(TWO_SIDED_CRITICAL_VALUES)
-        raise ValueError(
-            f"level {level} not in the critical-value table (supported: {supported})"
-        )
+    cv = critical_value(level)
     w = check_finite(w, "projection vector")
     var = float(w @ v @ w)
     if var < -1e-10:

@@ -66,6 +66,7 @@ from .plugin_inference import (
 from .random_scaling import (
     TWO_SIDED_CRITICAL_VALUES,
     assemble_v,
+    critical_value,
     kahan_add,
     scaling_ci,
 )
@@ -158,13 +159,14 @@ class ExperimentConfig:
         self.inference = tuple(m for m in METHODS if m in self.inference)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-        if "random_scaling" in self.inference and not any(
-            abs(self.level - lvl) < 1e-12 for lvl in TWO_SIDED_CRITICAL_VALUES
-        ):
-            raise ValueError(
-                "random-scaling intervals support only tabled levels "
-                f"{sorted(TWO_SIDED_CRITICAL_VALUES)}"
-            )
+        if "random_scaling" in self.inference:
+            try:
+                critical_value(self.level)
+            except ValueError:
+                raise ValueError(
+                    "random-scaling intervals support only tabled levels "
+                    f"{sorted(TWO_SIDED_CRITICAL_VALUES)}"
+                ) from None
         d = self.model.dim
         if self.dist.dim != d:
             raise ValueError("direction dimension does not match model dimension")
@@ -244,6 +246,17 @@ def _check_keys(section: dict, allowed: set[str], where: str, diags: list[str]):
             diags.append(f"{where}: unknown key {key!r} (allowed: {sorted(allowed)})")
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int: an int (not a bool), or a float with an integral
+    value such as JSON's ``1e5``. Anything else is a ValueError naming
+    ``key``; ``int()`` would truncate 100.7 and accept ``true`` and ``"3"``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Strict config parse; returns (config-or-None, list of violations)."""
     diags: list[str] = []
@@ -270,8 +283,11 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             dim = mraw.get("dim")
             if dim is None:
                 raise ValueError("model needs 'theta' or 'dim'")
-            theta = models.theta_on_unit_sphere(int(dim), int(mraw.get("theta_seed", 2024)))
-        elif "dim" in mraw and len(theta) != int(mraw["dim"]):
+            theta = models.theta_on_unit_sphere(
+                _integer(dim, "model.dim"),
+                _integer(mraw.get("theta_seed", 2024), "model.theta_seed"),
+            )
+        elif "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
             raise ValueError("model.theta length contradicts model.dim")
         model = models.ModelSpec(
             family=mraw.get("family", "linear"),
@@ -294,7 +310,9 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             kind = draw.get("kind", "spherical")
             u = None
             if kind == "orthonormal" and draw.get("basis_seed") is not None:
-                u = dirs.random_orthonormal(model.dim, int(draw["basis_seed"]))
+                u = dirs.random_orthonormal(
+                    model.dim, _integer(draw["basis_seed"], "directions.basis_seed")
+                )
             p = draw.get("p")
             dist = dirs.DirectionDistribution(
                 kind=kind,
@@ -303,7 +321,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 p=None if p is None else np.asarray(p, float),
             )
             mode = dirs.QueryMode(
-                m=int(draw.get("m", 1)),
+                m=_integer(draw.get("m", 1), "directions.m"),
                 replacement=draw.get("replacement", "with"),
             )
             dirs._check_mode(dist, mode)
@@ -331,10 +349,23 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             p=float(praw.get("p", 1.0)),
             kappa1=float(praw.get("kappa1", 1e-3)),
             subsampling=praw.get("subsampling", "ipw"),
-            every=int(praw.get("every", 1)),
+            every=_integer(praw.get("every", 1), "plugin.every"),
         )
     except (ValueError, TypeError) as exc:
         diags.append(f"plugin: {exc}")
+
+    counts = {}
+    for key, default in (("n", 100_000), ("replications", 100), ("seed", 0)):
+        try:
+            counts[key] = _integer(raw.get(key, default), key)
+        except ValueError as exc:
+            diags.append(f"config: {exc}")
+    try:
+        counts["checkpoints"] = tuple(
+            _integer(c, "checkpoints entry") for c in raw.get("checkpoints", ())
+        )
+    except (ValueError, TypeError) as exc:
+        diags.append(f"config: {exc}")
 
     if diags or model is None or dist is None or sched is None or plugin is None:
         return None, diags
@@ -344,16 +375,13 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             dist=dist,
             mode=mode,
             sched=sched,
-            n=int(raw.get("n", 100_000)),
-            replications=int(raw.get("replications", 100)),
-            seed=int(raw.get("seed", 0)),
             inference=tuple(raw.get("inference", list(METHODS))),
             w=None if raw.get("w") is None else np.asarray(raw["w"], float),
             level=float(raw.get("level", 0.95)),
-            checkpoints=tuple(raw.get("checkpoints", ())),
             plugin=plugin,
             algorithm=raw.get("algorithm", "akw"),
             name=str(raw.get("name", "run")),
+            **counts,
         )
     except (ValueError, TypeError) as exc:
         diags.append(str(exc))
@@ -713,7 +741,7 @@ def _run_chunk(
     c_norm: float,
     block: int = 1024,
 ) -> tuple[list[ReplicationRecord], list[ReplicationRecord], "_ChunkState"]:
-    oracle = models.make_oracle(cfg.model)
+    oracle = models.LossOracle(cfg.model)
     dist, mode, sched = cfg.dist, cfg.mode, cfg.sched
     m, c = cfg.mode.m, len(rep_indices)
     st = _ChunkState(cfg, rep_indices)

@@ -303,7 +303,7 @@ def test_criterion_11_online_batch_equivalence(tmp_path):
     spec = models.ModelSpec("linear", models.theta_on_unit_sphere(3, seed=2))
     log = []
     state = kw.run(
-        models.make_oracle(spec),
+        models.LossOracle(spec),
         dirs.DirectionDistribution("spherical", 3),
         dirs.QueryMode(),
         kw.Schedules(),

@@ -183,21 +183,6 @@ def test_multi_query_wor_rejects_continuous_kind():
         dirs.analytic_q_multi(dist, np.eye(3), dirs.QueryMode(m=2, replacement="without"))
 
 
-def test_nonavg_covariance_examples():
-    assert np.allclose(
-        dirs.nonavg_covariance(np.eye(2), np.eye(2), eta0=2.0), np.eye(2)
-    )
-    out = dirs.nonavg_covariance(np.eye(2), np.diag([1.0, 3.0]), eta0=1.0)
-    assert np.allclose(out, np.diag([0.5, 1.0 / 6.0]))
-    doubled = dirs.nonavg_covariance(np.eye(2), np.diag([1.0, 3.0]), eta0=2.0)
-    assert np.allclose(doubled, 2 * out)
-
-
-def test_nonavg_covariance_rejects_non_pd():
-    with pytest.raises(Exception):
-        dirs.nonavg_covariance(np.eye(2), np.diag([1.0, -1.0]), eta0=1.0)
-
-
 def test_nonuniform_first_coordinate_variance():
     # with p_1 = 1 - p and H = I the first diagonal of H^-1 Q H^-1 is S_11/(1-p)
     d, p = 4, 0.3

@@ -78,6 +78,38 @@ def test_parse_config_theta_dim_contradiction_and_dim_seed():
     assert np.allclose(cfg.model.theta_star, models.theta_on_unit_sphere(4, seed=7))
 
 
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("n", {"n": 100.7}),
+        ("n", {"n": True}),
+        ("replications", {"replications": "3"}),
+        ("seed", {"seed": 1.5}),
+        ("checkpoints", {"checkpoints": [10.5]}),
+        ("model.dim", {"model": {"family": "linear", "dim": 2.5}}),
+        ("model.theta_seed", {"model": {"family": "linear", "dim": 2, "theta_seed": "7"}}),
+        ("directions.m", {"directions": {"kind": "canonical", "m": 1.6}}),
+        ("directions.basis_seed", {"directions": {"kind": "orthonormal", "basis_seed": 0.5}}),
+        ("plugin.every", {"plugin": {"every": True}}),
+    ],
+)
+def test_parse_config_rejects_non_integer_counts(key, overrides):
+    cfg, diags = sh.parse_config(small_raw(**overrides))
+    assert cfg is None
+    assert any(key in d and "must be an integer" in d for d in diags), diags
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = sh.config_from_dict(
+        small_raw(n=3e2, checkpoints=[1e2], directions={"kind": "canonical", "m": 2.0})
+    )
+    ints = sh.config_from_dict(
+        small_raw(n=300, checkpoints=[100], directions={"kind": "canonical", "m": 2})
+    )
+    assert (cfg.n, cfg.checkpoints, cfg.mode.m) == (300, (100,), 2)
+    assert type(cfg.n) is int and cfg.config_hash == ints.config_hash
+
+
 def test_config_validation_rules():
     with pytest.raises(ValueError):
         sh.config_from_dict(small_raw(level=0.93))  # untabled scaling level
@@ -118,7 +150,7 @@ def test_zero_iterations_yields_unit_error_and_no_intervals():
 def _replay(cfg, rep):
     """Replay one replication's tape through the scalar ``kw.step``,
     yielding the run state after each step."""
-    oracle = models.make_oracle(cfg.model)
+    oracle = models.LossOracle(cfg.model)
     rng = np.random.default_rng(cfg.seed + rep)
     x, z, v, _ = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n)
     y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
@@ -240,7 +272,7 @@ def test_vectorized_curvature_matches_scalar_replay(family, plugin):
         )
     )
     st = sh.replication_states(cfg)
-    oracle = models.make_oracle(cfg.model)
+    oracle = models.LossOracle(cfg.model)
     d, p = cfg.model.dim, cfg.plugin.p
     for rep in range(cfg.replications):
         rng = np.random.default_rng(cfg.seed + rep)
@@ -314,7 +346,7 @@ def test_records_do_not_depend_on_block(monkeypatch, p):
 @pytest.mark.parametrize("d", [1, 2, 5, 20])
 def test_pair_losses_match_dense_probe(family, d):
     spec = models.ModelSpec(family=family, theta_star=models.theta_on_unit_sphere(d, 5))
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     rng = np.random.default_rng(d)
     c, h = 50, 0.1 * 7.0**-0.7
     x = oracle.draw_x(rng, c)

@@ -24,7 +24,7 @@ class QuadraticOracle:
 
 def linear_oracle(d=2, seed=1):
     spec = models.ModelSpec("linear", models.theta_on_unit_sphere(d, seed=seed))
-    return models.make_oracle(spec), spec
+    return models.LossOracle(spec), spec
 
 
 def test_schedule_ranges_enforced():
@@ -71,7 +71,7 @@ def test_kw_gradient_linear_closed_form():
 def test_kw_gradient_quantile_hand_value_and_closed_form():
     # tau=0.5, y - x.theta = 1, x.v = 1, h=0.5: rho drops 0.5 -> 0.25, g = -0.5 v
     spec = models.ModelSpec("quantile", np.zeros(2), tau=0.5)
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     x, v = np.array([1.0, 0.0]), np.array([1.0, 0.0])
     g = kw.multi_query_gradient(oracle, np.zeros(2), (x, 1.0), 0.5, v[None, :])
     assert np.allclose(g, -0.5 * v)
@@ -90,7 +90,7 @@ def test_kw_gradient_quantile_hand_value_and_closed_form():
 def test_kw_gradient_logistic_first_order_bias():
     # the h -> 0 limit is -y v v^T x / (1 + e^{y x.theta}); error scales like h
     spec = models.ModelSpec("logistic", models.theta_on_unit_sphere(2, seed=5))
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     rng = np.random.default_rng(4)
     x, v, theta = rng.standard_normal((3, 2))
     y = 1.0
@@ -220,46 +220,3 @@ def test_within_guard_equals_finite_and_bounded_rule():
             got = kw.within_guard(theta)
         assert np.array_equal(got, want)
         assert 0 < want.sum() < want.size
-
-
-def test_newton_step_identity_hessian_matches_plain_kw():
-    oracle, _ = linear_oracle()
-    dist = dirs.DirectionDistribution("canonical", 2)
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    zeta = oracle.sample(rng1)
-    v = dirs.sample_batch(dist, dirs.QueryMode(), rng1)
-    sched = kw.Schedules(eta0=1.0, alpha=0.999)  # eta_1 = 1 = 1/n at n=1
-    st_plain = kw.KwRunState.initial(2)
-    kw.step(st_plain, oracle, dist, dirs.QueryMode(), sched, rng2, zeta=zeta, dir_batch=v)
-    st_newton = kw.KwRunState.initial(2)
-    kw.newton_step(st_newton, oracle, dist, np.eye(2), rng2,
-                   h_sched=sched, zeta=zeta, dir_batch=v)
-    assert np.allclose(st_plain.theta, st_newton.theta)
-
-
-def test_newton_quadratic_contracts_along_newton_direction():
-    # noiseless quadratic with exact inverse Hessian: theta_1 = theta_0 (1 - 2/n) + O(h)
-    a = np.array([[2.0, 0.0], [0.0, 0.5]])
-    oracle = QuadraticOracle(a)
-    dist = dirs.DirectionDistribution("canonical", 2)
-    state = kw.KwRunState.initial(2, np.array([1.0, 1.0]))
-    h_inv = np.linalg.inv(2 * a)
-    rng = np.random.default_rng(11)
-    kw.newton_step(state, oracle, dist, h_inv, rng,
-                   h_sched=kw.Schedules(h0=1e-6, gamma=0.9))
-    # gradient surrogate is v v^T grad; one canonical draw updates one coordinate
-    moved = np.abs(state.theta - 1.0) > 1e-9
-    assert moved.sum() == 1
-    k = int(np.nonzero(moved)[0][0])
-    # v v^T has a factor d=2 on the sampled coordinate, step 1/n = 1
-    assert state.theta[k] == pytest.approx(1.0 - 2.0, rel=1e-3)
-
-
-def test_run_newton_converges_on_linear_model():
-    oracle, spec = linear_oracle(d=3, seed=13)
-    dist = dirs.DirectionDistribution("canonical", 3)
-    h_inv = np.linalg.inv(models.analytic_hessian(spec))
-    state = kw.run_newton(oracle, dist, 4000, np.random.default_rng(17),
-                          hessian_inverse=h_inv,
-                          h_sched=kw.Schedules(h0=0.1, gamma=0.7))
-    assert np.linalg.norm(state.theta - spec.theta_star) < 0.2

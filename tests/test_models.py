@@ -38,7 +38,7 @@ def test_design_cov_equicorr():
 
 def test_linear_loss_perfect_fit_is_zero():
     spec = make_spec("linear")
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     x = np.array([0.4, -1.0, 2.0])
     y = float(x @ spec.theta_star)  # noise draw of zero
     assert oracle.loss(spec.theta_star, (x, y)) == pytest.approx(0.0)
@@ -46,7 +46,7 @@ def test_linear_loss_perfect_fit_is_zero():
 
 def test_logistic_loss_at_zero_is_log2():
     spec = make_spec("logistic")
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     for y in (-1.0, 1.0):
         assert oracle.loss(np.zeros(3), (np.ones(3), y)) == pytest.approx(math.log(2))
 
@@ -54,7 +54,7 @@ def test_logistic_loss_at_zero_is_log2():
 def test_quantile_check_loss_hand_value():
     # tau=0.5, residual -2: rho = (-2)(0.5 - 1) = 1
     spec = make_spec("quantile", tau=0.5)
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     x = np.array([1.0, 0.0, 0.0])
     theta = np.array([2.0, 0.0, 0.0])
     assert oracle.loss(theta, (x, 0.0)) == pytest.approx(1.0)
@@ -63,11 +63,12 @@ def test_quantile_check_loss_hand_value():
 @pytest.mark.parametrize("family", ["linear", "logistic"])
 def test_grad_matches_finite_difference(family):
     spec = make_spec(family)
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     rng = np.random.default_rng(6)
     zeta = oracle.sample(rng)
     theta = rng.standard_normal(3)
-    g = oracle.grad(theta, zeta)
+    x, y = zeta
+    g = oracle.linpred_grad(x @ theta, y) * x
     eps = 1e-6
     for k in range(3):
         e = np.zeros(3)
@@ -78,16 +79,17 @@ def test_grad_matches_finite_difference(family):
 
 def test_quantile_subgradient():
     spec = make_spec("quantile", tau=0.3)
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     x = np.array([1.0, 2.0, -1.0])
     theta = np.zeros(3)
-    assert np.allclose(oracle.grad(theta, (x, 1.0)), -0.3 * x)   # residual > 0
-    assert np.allclose(oracle.grad(theta, (x, -1.0)), 0.7 * x)   # residual < 0
+    u = x @ theta
+    assert np.allclose(oracle.linpred_grad(u, 1.0) * x, -0.3 * x)   # residual > 0
+    assert np.allclose(oracle.linpred_grad(u, -1.0) * x, 0.7 * x)   # residual < 0
 
 
 def test_loss_batch_matches_scalar_loss():
     spec = make_spec("linear")
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     rng = np.random.default_rng(7)
     zeta = oracle.sample(rng)
     thetas = rng.standard_normal((4, 3))
@@ -99,7 +101,7 @@ def test_loss_batch_matches_scalar_loss():
 def test_quantile_noise_centered_at_tau():
     # Pr(y <= x^T theta*) should equal tau by construction of the noise shift
     spec = make_spec("quantile", tau=0.25)
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     rng = np.random.default_rng(8)
     below = 0
     n = 20_000
@@ -111,7 +113,7 @@ def test_quantile_noise_centered_at_tau():
 
 def test_sampler_covariance_matches_design():
     spec = make_spec("linear", design="equicorr", rho=0.2)
-    oracle = models.make_oracle(spec)
+    oracle = models.LossOracle(spec)
     rng = np.random.default_rng(9)
     xs = oracle.draw_x(rng, size=100_000)
     emp = xs.T @ xs / len(xs)
@@ -137,11 +139,11 @@ def test_analytic_hessian_logistic_at_zero():
 
 def test_analytic_hessian_logistic_mc_is_symmetric_pd():
     spec = make_spec("logistic")
-    h = models.analytic_hessian(spec, mc_draws=200_000)
+    h = models._logistic_hessian_mc(spec, 200_000, models._MC_SEED)
     assert np.array_equal(h, h.T)
     assert sym_eigen(h).values.min() > 0
     # repeat call hits the cache and is identical
-    assert np.array_equal(h, models.analytic_hessian(spec, mc_draws=200_000))
+    assert np.array_equal(h, models._logistic_hessian_mc(spec, 200_000, models._MC_SEED))
 
 
 def sequential_logistic_hessian(spec, draws, seed=20240501):
@@ -170,9 +172,9 @@ def sequential_logistic_hessian(spec, draws, seed=20240501):
 def test_logistic_hessian_mc_matches_sequential_loop(monkeypatch, design, d, draws):
     monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
     spec = make_spec("logistic", d=d, design=design)
-    h = models.analytic_hessian(spec, mc_draws=draws)
+    h = models._logistic_hessian_mc(spec, draws, models._MC_SEED)
     assert np.array_equal(h, sequential_logistic_hessian(spec, draws))
-    assert models.analytic_hessian(spec, mc_draws=draws) is h
+    assert models._logistic_hessian_mc(spec, draws, models._MC_SEED) is h
 
 
 def test_logistic_hessian_mc_folds_on_a_helper_thread_it_joins(monkeypatch):
@@ -186,7 +188,7 @@ def test_logistic_hessian_mc_folds_on_a_helper_thread_it_joins(monkeypatch):
     fold = models._logistic_fold
     monkeypatch.setattr(models, "_logistic_fold", recording_fold)
     before = threading.active_count()
-    models.analytic_hessian(make_spec("logistic", d=5), mc_draws=250_001)
+    models._logistic_hessian_mc(make_spec("logistic", d=5), 250_001, models._MC_SEED)
     assert threading.active_count() == before
     assert len(fold_threads) == 3
     assert threading.get_ident() not in fold_threads
@@ -208,7 +210,7 @@ def test_logistic_hessian_mc_fold_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(models, "_logistic_fold", failing_fold)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="fold failed"):
-        models.analytic_hessian(make_spec("logistic", d=5), mc_draws=300_000)
+        models._logistic_hessian_mc(make_spec("logistic", d=5), 300_000, models._MC_SEED)
     assert threading.active_count() == before
     assert models._LOGISTIC_HESSIAN_CACHE == {}
 
