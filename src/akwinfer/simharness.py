@@ -360,11 +360,12 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             counts[key] = _integer(raw.get(key, default), key)
         except ValueError as exc:
             diags.append(f"config: {exc}")
+    cps = raw.get("checkpoints", ())
     try:
-        counts["checkpoints"] = tuple(
-            _integer(c, "checkpoints entry") for c in raw.get("checkpoints", ())
-        )
-    except (ValueError, TypeError) as exc:
+        if not isinstance(cps, (list, tuple)):
+            raise ValueError(f"checkpoints must be a list of integers, got {cps!r}")
+        counts["checkpoints"] = tuple(_integer(c, "checkpoints entry") for c in cps)
+    except ValueError as exc:
         diags.append(f"config: {exc}")
 
     if diags or model is None or dist is None or sched is None or plugin is None:

@@ -119,6 +119,8 @@ def test_config_validation_rules():
         sh.config_from_dict(small_raw(checkpoints=[0]))
     with pytest.raises(sh.ConfigError):
         sh.config_from_dict(small_raw(checkpoints=[1000]))
+    with pytest.raises(sh.ConfigError, match="checkpoints must be a list"):
+        sh.config_from_dict(small_raw(checkpoints=5))
     with pytest.raises(sh.ConfigError):
         sh.config_from_dict(small_raw(w=[0.0, 0.0]))
     with pytest.raises(sh.ConfigError):
