@@ -25,10 +25,10 @@ inputs. Per group of steps, ``_StepGroup.fold`` adds what never feeds back
 into the recurrence: the gradient Gram, the four-point curvature probe
 laid out pair-major as (pairs, steps, C), the three random-scaling sums,
 the queries and n_done. Groups end at absolute step indices (their length
-depends on d only), at checkpoints and at n, so the folded sums do not
-depend on where tape blocks end. Every per-step and per-entry expression
-is the one a step-by-step engine would evaluate; only the order of
-summation over steps differs.
+depends on d and on whether the run records the probe), at checkpoints and
+at n, so the folded sums do not depend on where tape blocks end. Every
+per-step and per-entry expression is the one a step-by-step engine would
+evaluate; only the order of summation over steps differs.
 
 The engine shares its math with the library: directions come from
 ``directions.draw_directions``, exact gradients from
@@ -43,6 +43,8 @@ assembled by ``plugin_covariance`` and ``assemble_v`` (d = 1).
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -257,6 +259,23 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """``value`` as a float: an int or a float, not a bool. Anything else is a
+    ValueError naming ``key``; ``float()`` would accept ``true`` and ``"0.5"``."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, key: str) -> np.ndarray:
+    """A list of numbers as a float vector, each entry through ``_real``."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return np.array([_real(v, f"{key} entry") for v in values], dtype=float)
+
+
 def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Strict config parse; returns (config-or-None, list of violations)."""
     diags: list[str] = []
@@ -287,15 +306,17 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 _integer(dim, "model.dim"),
                 _integer(mraw.get("theta_seed", 2024), "model.theta_seed"),
             )
-        elif "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
-            raise ValueError("model.theta length contradicts model.dim")
+        else:
+            theta = _reals(theta, "model.theta")
+            if "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
+                raise ValueError("model.theta length contradicts model.dim")
         model = models.ModelSpec(
             family=mraw.get("family", "linear"),
-            theta_star=np.asarray(theta, float),
-            sigma2=float(mraw.get("sigma2", 0.2)),
-            tau=float(mraw.get("tau", 0.5)),
+            theta_star=theta,
+            sigma2=_real(mraw.get("sigma2", 0.2), "model.sigma2"),
+            tau=_real(mraw.get("tau", 0.5), "model.tau"),
             design=mraw.get("design", "identity"),
-            rho=float(mraw.get("rho", 0.2)),
+            rho=_real(mraw.get("rho", 0.2), "model.rho"),
         )
     except (ValueError, TypeError) as exc:
         diags.append(f"model: {exc}")
@@ -318,7 +339,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 kind=kind,
                 dim=model.dim,
                 u=u,
-                p=None if p is None else np.asarray(p, float),
+                p=None if p is None else _reals(p, "directions.p"),
             )
             mode = dirs.QueryMode(
                 m=_integer(draw.get("m", 1), "directions.m"),
@@ -333,10 +354,10 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     sched = None
     try:
         sched = Schedules(
-            eta0=float(sraw.get("eta0", 0.1)),
-            alpha=float(sraw.get("alpha", 0.501)),
-            h0=float(sraw.get("h0", 0.1)),
-            gamma=float(sraw.get("gamma", 0.7)),
+            eta0=_real(sraw.get("eta0", 0.1), "schedules.eta0"),
+            alpha=_real(sraw.get("alpha", 0.501), "schedules.alpha"),
+            h0=_real(sraw.get("h0", 0.1), "schedules.h0"),
+            gamma=_real(sraw.get("gamma", 0.7), "schedules.gamma"),
         )
     except (ValueError, TypeError) as exc:
         diags.append(f"schedules: {exc}")
@@ -346,8 +367,8 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     plugin = None
     try:
         plugin = PluginSettings(
-            p=float(praw.get("p", 1.0)),
-            kappa1=float(praw.get("kappa1", 1e-3)),
+            p=_real(praw.get("p", 1.0), "plugin.p"),
+            kappa1=_real(praw.get("kappa1", 1e-3), "plugin.kappa1"),
             subsampling=praw.get("subsampling", "ipw"),
             every=_integer(praw.get("every", 1), "plugin.every"),
         )
@@ -377,8 +398,8 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             mode=mode,
             sched=sched,
             inference=tuple(raw.get("inference", list(METHODS))),
-            w=None if raw.get("w") is None else np.asarray(raw["w"], float),
-            level=float(raw.get("level", 0.95)),
+            w=None if raw.get("w") is None else _reals(raw["w"], "w"),
+            level=_real(raw.get("level", 0.95), "level"),
             plugin=plugin,
             algorithm=raw.get("algorithm", "akw"),
             name=str(raw.get("name", "run")),
@@ -416,12 +437,12 @@ def draw_block(
     block length: two calls of 100 draw a different tape than one of 200.
     Both the vectorized engine and the scalar reference replay consume this.
     """
-    d = oracle.spec.dim
-    x = rng.standard_normal((size, d)) @ oracle.chol.T
+    x = oracle.draw_x(rng, size)
     z = rng.random(size) if oracle.noise_kind == "uniform" else rng.standard_normal(size)
     v = dirs.draw_directions(rng, dist, mode, size)
     mask = None
     if mask_p is not None and mask_p < 1.0:
+        d = oracle.spec.dim
         mask = rng.random((size, d, d)) < mask_p
     return x, z, v, mask
 
@@ -504,7 +525,9 @@ MAX_CHUNK = 256
 
 # Per-replication element budget of one step group: S steps with
 # S·(pairs + d) <= FOLD_BUDGET, so the probe fold's (pairs, S, C) arrays stay
-# near C·FOLD_BUDGET elements. S depends on d only, never on the tape block.
+# near C·FOLD_BUDGET elements. pairs counts only when the run records the
+# curvature probe ("plugin"); otherwise S·d <= FOLD_BUDGET. S depends on d
+# and the inference methods only, never on the tape block.
 FOLD_BUDGET = 1024
 
 
@@ -643,7 +666,8 @@ class _StepGroup:
     def __init__(self, cfg: ExperimentConfig, oracle: models.LossOracle, c: int):
         d = cfg.model.dim
         self.ends, self.pair = _pair_index(d)
-        size = max(1, FOLD_BUDGET // (self.ends.shape[1] + d))
+        pairs = self.ends.shape[1] if "plugin" in cfg.inference else 0
+        size = max(1, FOLD_BUDGET // (pairs + d))
         self.cfg, self.oracle, self.size = cfg, oracle, size
         self.start = self.steps = self.probes = 0
         self.step_queries = cfg.mode.m + 1 if cfg.algorithm == "akw" else 1
@@ -735,6 +759,29 @@ class _StepGroup:
         st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)
 
 
+@functools.cache
+def _heap_for_temporaries() -> None:
+    """Have glibc's malloc serve the engine's temporaries from its heap.
+
+    A step group's fold makes a few dozen temporaries of a few hundred KB.
+    Above glibc's default 128 KB mmap threshold each is a fresh mapping
+    whose pages fault in on first touch: 0.7-1M minor faults and 1-1.8 s
+    of system time in a d = 5 or d = 20 perfbench-sized run.
+    glibc raises the thresholds by itself only after the process frees a
+    larger mapped block, which made the engine's speed depend on what the
+    process had allocated before. This sets them to the ceiling of glibc's
+    own rule (mmap above 32 MiB, trim above 64 MiB), once per process. It
+    changes where arrays live, never a value. A no-op where the C library
+    has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 def _run_chunk(
     cfg: ExperimentConfig,
     rep_indices: np.ndarray,
@@ -742,6 +789,7 @@ def _run_chunk(
     c_norm: float,
     block: int = 1024,
 ) -> tuple[list[ReplicationRecord], list[ReplicationRecord], "_ChunkState"]:
+    _heap_for_temporaries()
     oracle = models.LossOracle(cfg.model)
     dist, mode, sched = cfg.dist, cfg.mode, cfg.sched
     m, c = cfg.mode.m, len(rep_indices)

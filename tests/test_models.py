@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,14 +149,14 @@ def test_analytic_hessian_logistic_mc_is_symmetric_pd():
 
 def sequential_logistic_hessian(spec, draws, seed=20240501):
     """The Monte-Carlo sum as one plain loop: draw, transform and fold each
-    chunk of 100 000 rows in turn."""
+    chunk of ``models._MC_CHUNK`` rows in turn."""
     rng = np.random.default_rng(seed)
     chol = np.linalg.cholesky(spec.design_cov())
     d = spec.dim
     h = np.zeros((d, d))
     left = draws
     while left > 0:
-        k = min(100_000, left)
+        k = min(models._MC_CHUNK, left)
         x = rng.standard_normal((k, d)) @ chol.T
         u = x @ spec.theta_star
         sig = 1.0 / (1.0 + np.exp(-u))
@@ -165,11 +166,13 @@ def sequential_logistic_hessian(spec, draws, seed=20240501):
     return symmetrize(h / draws, rtol=1e-6)
 
 
-# 250 001 draws end on a short chunk of 50 001 rows.
+# Neither draw count is a multiple of the chunk, so both sums end on a short
+# chunk (200 000 and 250 001 rows leave 3392 and 145 at 4096 rows a chunk).
 @pytest.mark.parametrize("draws", [200_000, 250_001])
 @pytest.mark.parametrize("d", [1, 5, 20])
 @pytest.mark.parametrize("design", ["identity", "equicorr"])
 def test_logistic_hessian_mc_matches_sequential_loop(monkeypatch, design, d, draws):
+    assert draws % models._MC_CHUNK
     monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
     spec = make_spec("logistic", d=d, design=design)
     h = models._logistic_hessian_mc(spec, draws, models._MC_SEED)
@@ -190,7 +193,7 @@ def test_logistic_hessian_mc_folds_on_a_helper_thread_it_joins(monkeypatch):
     before = threading.active_count()
     models._logistic_hessian_mc(make_spec("logistic", d=5), 250_001, models._MC_SEED)
     assert threading.active_count() == before
-    assert len(fold_threads) == 3
+    assert len(fold_threads) == math.ceil(250_001 / models._MC_CHUNK)
     assert threading.get_ident() not in fold_threads
 
 
@@ -213,6 +216,23 @@ def test_logistic_hessian_mc_fold_error_reaches_caller(monkeypatch):
         models._logistic_hessian_mc(make_spec("logistic", d=5), 300_000, models._MC_SEED)
     assert threading.active_count() == before
     assert models._LOGISTIC_HESSIAN_CACHE == {}
+
+
+# The truth streams its draws through reusable chunk buffers, so at d = 100
+# its traced peak stays near three (rows, d) chunks whatever the draw count;
+# 32 MB is far below the 230 MB three 100 000-row buffers take.
+def test_logistic_hessian_mc_memory_stays_at_a_few_chunks(monkeypatch):
+    monkeypatch.setattr(models, "_LOGISTIC_HESSIAN_CACHE", {})
+    d = 100
+    tracemalloc.start()
+    try:
+        models._logistic_hessian_mc(make_spec("logistic", d=d), 200_000, models._MC_SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = models._MC_CHUNK * d * 8
+    assert peak < 4 * chunk_bytes
+    assert peak < 32e6
 
 
 def test_analytic_gram_values():
