@@ -2,17 +2,17 @@
 
 Modules: ``numkernel`` (dense symmetric linear algebra), ``directions``
 (random search-direction laws and their noise-inflation matrices),
-``models`` (loss oracles with closed-form ground truth), ``kwengine``
-(the optimizer), ``plugin_inference`` and ``random_scaling`` (two online
-confidence-interval constructions), ``simharness`` (Monte-Carlo
-experiment runner), ``recipes`` (frozen experiment configs), ``cli``
+``models`` (loss oracles with closed-form ground truth),
+``plugin_inference`` and ``random_scaling`` (two online
+confidence-interval constructions), ``simharness`` (the optimizer: a
+Monte-Carlo replication engine with its schedules, divergence rule,
+configs and reports), ``recipes`` (frozen experiment configs), ``cli``
 (command line).
 """
 
 from . import (  # noqa: F401
     cli,
     directions,
-    kwengine,
     models,
     numkernel,
     plugin_inference,

@@ -21,7 +21,6 @@ __all__ = [
     "QueryMode",
     "random_orthonormal",
     "draw_directions",
-    "sample_batch",
     "analytic_q",
     "analytic_q_multi",
 ]
@@ -153,14 +152,6 @@ def draw_directions(
     cum = np.cumsum(dist.p)
     idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
     return np.eye(d)[idx] / np.sqrt(dist.p)[idx][:, :, None]
-
-
-def sample_batch(
-    dist: DirectionDistribution, mode: QueryMode, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``mode.m`` direction vectors for one iteration, shape (m, dim)."""
-    _check_mode(dist, mode)
-    return draw_directions(rng, dist, mode, 1)[0]
 
 
 def analytic_q(dist: DirectionDistribution, s: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Loss oracles and data generators for the three worked regression models.
 
-Each oracle exposes the black-box interface the optimizer needs (a loss
-evaluation and a data-point sampler) plus closed-form curvature and
-gradient-noise matrices used as ground truth by the experiment harness.
+Each oracle exposes what the replication engine needs (a data sampler,
+and the loss and its derivative as functions of the linear predictor),
+and the module gives closed-form curvature and gradient-noise matrices
+used as ground truth by the experiment harness.
 
 All three losses depend on the parameter only through the linear predictor
 ``x^T theta``; ``linpred_loss`` exposes that structure so batched
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -116,12 +117,6 @@ class LossOracle:
         # logistic: z uniform in [0,1); y = +1 with probability sigmoid(u*)
         return np.where(z < 1.0 / (1.0 + np.exp(-u_star)), 1.0, -1.0)
 
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        x = self.draw_x(rng)
-        z = rng.random() if self.noise_kind == "uniform" else rng.standard_normal()
-        y = self.response_from_noise(x @ self.spec.theta_star, z)
-        return x, float(y)
-
     # -- loss evaluation ------------------------------------------------
 
     def linpred_loss(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -135,16 +130,6 @@ class LossOracle:
         r = y - u
         tau = self.spec.tau
         return r * (tau - (r < 0.0))
-
-    def loss(self, theta: np.ndarray, zeta: tuple[np.ndarray, float]) -> float:
-        x, y = zeta
-        return float(self.linpred_loss(x @ theta, y))
-
-    def loss_batch(
-        self, thetas: np.ndarray, zeta: tuple[np.ndarray, float]
-    ) -> np.ndarray:
-        x, y = zeta
-        return self.linpred_loss(thetas @ x, y)
 
     def linpred_grad(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Derivative of ``linpred_loss`` in ``u`` (a subgradient at the

@@ -61,9 +61,6 @@ class EigenDecomposition:
     vectors: np.ndarray
     values: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
-
 
 def sym_eigen(m: np.ndarray, name: str = "matrix") -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``)."""

@@ -1,18 +1,17 @@
 """Fixed-b inference from the averaged iterates alone ("random scaling").
 
-Maintains the running pieces of
+Assembles
 
     V_n = (1/n^2) sum_i i^2 (theta_bar_i - theta_bar_n)(theta_bar_i - theta_bar_n)^T
 
-online, and builds studentized intervals from the tabulated quantiles of
-the limiting pivot W(1)/sqrt(int_0^1 (W(r) - r W(1))^2 dr). An interval for
-w^T theta reads only w^T V_n w, so the replication engine keeps these sums
-for the scalar w^T theta_bar_i and calls ``assemble_v`` with d = 1.
+from its running pieces, summed online with ``kahan_add``, and builds
+studentized intervals from the tabulated quantiles of the limiting pivot
+W(1)/sqrt(int_0^1 (W(r) - r W(1))^2 dr). An interval for w^T theta reads
+only w^T V_n w, so the replication engine keeps these sums for the scalar
+w^T theta_bar_i and calls ``assemble_v`` with d = 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +19,10 @@ from .numkernel import LinAlgError, check_finite, symmetrize
 from .plugin_inference import ConfidenceInterval
 
 __all__ = [
-    "ScalingAccumulator",
     "ONE_SIDED_QUANTILES",
     "TWO_SIDED_CRITICAL_VALUES",
     "critical_value",
     "kahan_add",
-    "scaling_update",
     "assemble_v",
     "scaling_ci",
     "simulate_pivot_quantiles",
@@ -57,45 +54,11 @@ def critical_value(level: float) -> float:
     )
 
 
-@dataclass
-class ScalingAccumulator:
-    """Kahan-compensated accumulators for A = sum i^2 x x^T, b = sum i^2 x,
-    s = sum i^2. The i^2 weights make the sums grow like n^3, so plain
-    accumulation loses digits by n = 1e6."""
-
-    dim: int
-    a: np.ndarray = field(default=None)  # type: ignore[assignment]
-    b: np.ndarray = field(default=None)  # type: ignore[assignment]
-    s: float = 0.0
-    n: int = 0
-
-    def __post_init__(self):
-        if self.a is None:
-            self.a = np.zeros((self.dim, self.dim))
-        if self.b is None:
-            self.b = np.zeros(self.dim)
-        self._a_c = np.zeros((self.dim, self.dim))
-        self._b_c = np.zeros(self.dim)
-        self._s_c = 0.0
-
-
 def kahan_add(total, comp, term):
     """One compensated-summation step; returns the new (total, comp)."""
     y = term - comp
     t = total + y
     return t, (t - total) - y
-
-
-def scaling_update(acc: ScalingAccumulator, theta_bar_i: np.ndarray, i: int) -> ScalingAccumulator:
-    """Fold the i-th running average in; i must follow the accumulator's count."""
-    if i != acc.n + 1:
-        raise ValueError(f"out-of-order update: expected i={acc.n + 1}, got i={i}")
-    w = float(i) * float(i)
-    acc.a, acc._a_c = kahan_add(acc.a, acc._a_c, w * np.outer(theta_bar_i, theta_bar_i))
-    acc.b, acc._b_c = kahan_add(acc.b, acc._b_c, w * theta_bar_i)
-    acc.s, acc._s_c = kahan_add(acc.s, acc._s_c, w)
-    acc.n = i
-    return acc
 
 
 def assemble_v(

@@ -30,14 +30,16 @@ at n, so the folded sums do not depend on where tape blocks end. Every
 per-step and per-entry expression is the one a step-by-step engine would
 evaluate; only the order of summation over steps differs.
 
-The engine shares its math with the library: directions come from
-``directions.draw_directions``, exact gradients from
-``LossOracle.linpred_grad``, the divergence rule from
-``kwengine.within_guard``, the curvature subsampling from
+This engine is the library's only optimizer. It defines the step-size and
+spacing schedules (``Schedules``) and the divergence rule
+(``within_guard``), and calls the library for the rest: directions come
+from ``directions.draw_directions``, exact gradients from
+``LossOracle.linpred_grad``, the curvature subsampling from
 ``plugin_inference.subsample_block`` and the random-scaling sums from
 ``random_scaling.kahan_add``. The random-scaling sums are kept for the
 scalar w·θ̄ only and the gradient Gram only for plug-in runs; records are
-assembled by ``plugin_covariance`` and ``assemble_v`` (d = 1).
+assembled by ``plugin_covariance`` and ``assemble_v`` (d = 1). The tests
+replay it against a step-by-step scalar reference kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ import numpy as np
 
 from . import directions as dirs
 from . import models
-from .kwengine import Schedules, within_guard
 from .numkernel import check_finite, spectral_norm
 from .plugin_inference import (
     plugin_ci,
@@ -76,6 +77,9 @@ from .random_scaling import (
 __all__ = [
     "METHODS",
     "ConfigError",
+    "DIVERGENCE_LIMIT",
+    "within_guard",
+    "Schedules",
     "PluginSettings",
     "ExperimentConfig",
     "ReplicationRecord",
@@ -111,6 +115,42 @@ CHECKPOINT_FIELDS = CSV_FIELDS[:3] + ("n",) + CSV_FIELDS[3:]
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message lists every violation."""
+
+
+DIVERGENCE_LIMIT = 1e8
+
+
+def within_guard(theta: np.ndarray) -> np.ndarray:
+    """The divergence rule, over the last axis: an iterate is kept while it
+    is finite and ``max|theta| <= DIVERGENCE_LIMIT``. A NaN entry makes the
+    max NaN and an infinite one exceeds the limit, so both fail the test."""
+    return np.abs(theta).max(axis=-1) <= DIVERGENCE_LIMIT
+
+
+@dataclass(frozen=True)
+class Schedules:
+    """Decaying step size ``eta0 * n**-alpha`` and spacing ``h0 * n**-gamma``."""
+
+    eta0: float = 0.1
+    alpha: float = 0.501
+    h0: float = 0.1
+    gamma: float = 0.7
+
+    def __post_init__(self):
+        if self.eta0 < 0.0:
+            raise ValueError("eta0 must be nonnegative")
+        if not 0.5 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0.5, 1)")
+        if self.h0 <= 0.0:
+            raise ValueError("h0 must be positive")
+        if not 0.5 < self.gamma < 1.0:
+            raise ValueError("gamma must lie in (0.5, 1)")
+
+    def eta(self, n: int) -> float:
+        return self.eta0 * n ** -self.alpha
+
+    def h(self, n: int) -> float:
+        return self.h0 * n ** -self.gamma
 
 
 @dataclass(frozen=True)
@@ -435,7 +475,7 @@ def draw_block(
     directions, optional Bernoulli entry mask — so a replication's tape
     does not depend on how replications are chunked. It does depend on the
     block length: two calls of 100 draw a different tape than one of 200.
-    Both the vectorized engine and the scalar reference replay consume this.
+    The engine and the tests' scalar replays consume this.
     """
     x = oracle.draw_x(rng, size)
     z = rng.random(size) if oracle.noise_kind == "uniform" else rng.standard_normal(size)
@@ -753,7 +793,7 @@ class _StepGroup:
                     )
                     prev = np.where(live[j], raw[:, :, j], prev)
                 st.hess_prev[:, ends, ends[::-1]] = np.moveaxis(prev, -1, 0)
-        sym = 0.5 * (raw[0] + raw[1])  # symmetric_part, one pair at a time
+        sym = 0.5 * (raw[0] + raw[1])  # the symmetric part (B + Bᵀ)/2
         st.hess += _step_sum(np.where(live, sym, 0.0), 1).T[:, self.pair]
         st.hess_count += live.sum(axis=0)
         st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)

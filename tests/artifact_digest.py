@@ -1,0 +1,82 @@
+"""Print one sha256 over the artifacts of a fixed matrix of small runs.
+
+    python3 tests/artifact_digest.py
+
+A change that must leave every artifact byte-identical prints the same
+digest as its parent commit. The matrix has 325 runs, each at d = 3,
+n = 160, 5 replications, a checkpoint at 80 and one worker:
+
+- linear/logistic/quantile × identity/equicorr (rho 0.3) × six direction
+  laws × four inference sets × akw/rm (288 runs);
+- the identity design with plug-in only at p = 0.5 with inherit
+  subsampling × the three families, six laws and two algorithms (36 runs);
+- one linear run whose step size (eta0 = 1e7) makes every replication
+  diverge.
+
+The digest covers every run's replications.csv, checkpoints.csv,
+summary.json and config.resolved.json, each with its path relative to the
+output directory, in sorted order. pytest does not collect this script.
+"""
+
+import hashlib
+import itertools
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from akwinfer import models  # noqa: E402
+from akwinfer import simharness as sh  # noqa: E402
+
+DIRECTIONS = (
+    {"kind": "gaussian"},
+    {"kind": "spherical"},
+    {"kind": "canonical"},
+    {"kind": "orthonormal", "basis_seed": 5},
+    {"kind": "nonuniform", "p": [0.2, 0.3, 0.5]},
+    {"kind": "canonical", "m": 2, "replacement": "without"},
+)
+INFERENCE = (
+    {"inference": []},
+    {"inference": ["plugin"], "plugin": {"p": 0.6}},
+    {"inference": ["random_scaling", "oracle"]},
+    {"inference": list(sh.METHODS), "plugin": {"every": 2}},
+)
+INHERIT = {"inference": ["plugin"], "plugin": {"p": 0.5, "subsampling": "inherit"}}
+BASE = {"name": "digest", "n": 160, "replications": 5, "seed": 3, "checkpoints": [80]}
+
+
+def configs():
+    for family, design, directions, inference, algorithm in itertools.product(
+        models.FAMILIES, ("identity", "equicorr"), DIRECTIONS, INFERENCE, sh.ALGORITHMS
+    ):
+        model = {"family": family, "dim": 3, "design": design, "rho": 0.3}
+        yield dict(BASE, model=model, directions=directions, algorithm=algorithm, **inference)
+    for family, directions, algorithm in itertools.product(
+        models.FAMILIES, DIRECTIONS, sh.ALGORITHMS
+    ):
+        model = {"family": family, "dim": 3}
+        yield dict(BASE, model=model, directions=directions, algorithm=algorithm, **INHERIT)
+    yield dict(
+        BASE,
+        model={"family": "linear", "dim": 3},
+        directions={"kind": "canonical"},
+        schedules={"eta0": 1e7, "h0": 1.0},
+    )
+
+
+def main():
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        for raw in configs():
+            sh.write_report(sh.run_experiment(sh.config_from_dict(raw), workers=1), out)
+        for path in sorted(pathlib.Path(out).rglob("*")):
+            if path.is_file():
+                digest.update(str(path.relative_to(out)).encode())
+                digest.update(path.read_bytes())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

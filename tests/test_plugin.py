@@ -5,12 +5,11 @@ from akwinfer import models
 from akwinfer.numkernel import LinAlgError
 from akwinfer.plugin_inference import (
     ConfidenceInterval,
-    HessianAccumulator,
-    hessian_entry_block,
     plugin_ci,
     plugin_covariance,
     z_quantile,
 )
+from reference import HessianAccumulator, hessian_entry_block, loss, loss_batch, sample
 
 
 class QuadraticOracle:
@@ -22,9 +21,6 @@ class QuadraticOracle:
 
     def loss(self, theta, zeta):
         return float(theta @ self.a @ theta + self.b @ theta)
-
-    def loss_batch(self, thetas, zeta):
-        return np.einsum("bi,ij,bj->b", thetas, self.a, thetas) + thetas @ self.b
 
 
 def test_z_quantile_values():
@@ -58,10 +54,39 @@ def test_entry_block_linear_model_is_2xxt():
     spec = models.ModelSpec("linear", models.theta_on_unit_sphere(3, seed=9))
     oracle = models.LossOracle(spec)
     rng = np.random.default_rng(0)
-    zeta = oracle.sample(rng)
+    zeta = sample(oracle, rng)
     x = zeta[0]
     g, _, _ = hessian_entry_block(oracle, np.zeros(3), zeta, 0.05)
     assert np.allclose(g, 2 * np.outer(x, x), rtol=1e-6, atol=1e-8)
+
+
+# The probe evaluates u0 + h·x_k and u0 + h·(x_k + x_l), the engine's
+# expressions, where the definition evaluates f at θ + h·e_k and
+# θ + h·(e_k + e_l). The two round the linear predictor u differently, by
+# less than du = 2(d + 2)·eps·Σ|x_i|(|θ_i| + 2h) (both dot products and the
+# shift), so each loss moves by at most G·du + 2·eps·F, with G a Lipschitz
+# bound of the loss in u near the points and F = max|f|. An entry combines
+# four losses and three roundings and divides by h².
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_entry_block_matches_theta_space_probe(family):
+    d, h = 4, 0.05
+    oracle = models.LossOracle(models.ModelSpec(family, models.theta_on_unit_sphere(d, seed=9)))
+    rng = np.random.default_rng(12)
+    eye, eps = np.eye(d), np.finfo(float).eps
+    for _ in range(50):
+        zeta, theta = sample(oracle, rng), rng.standard_normal(d)
+        block, _, _ = hessian_entry_block(oracle, theta, zeta, h)
+        f0, fs = loss(oracle, theta, zeta), loss_batch(oracle, theta + h * eye, zeta)
+        pairs = theta + h * (eye[:, None] + eye[None]).reshape(d * d, d)
+        fp = loss_batch(oracle, pairs, zeta).reshape(d, d)
+        want = (fp - fs[:, None] - fs[None, :] + f0) / (h * h)
+        x, y = zeta
+        du = 2 * (d + 2) * eps * (np.abs(x) * (np.abs(theta) + 2 * h)).sum()
+        points = np.concatenate([theta[None], theta + h * eye, pairs])
+        lipschitz = np.abs(oracle.linpred_grad(points @ x, y)).max() + 2 * du
+        big = max(abs(f0), np.abs(fs).max(), np.abs(fp).max())
+        tol = (4 * (lipschitz * du + 2 * eps * big) + 3 * eps * 4 * big) / (h * h)
+        assert np.abs(block - want).max() <= tol
 
 
 def test_entry_block_subsample_count_and_errors():

@@ -6,14 +6,22 @@ A name in a module's ``__all__`` counts as used when code in
 definition: by name inside its module, by name after ``from <module> import
 name``, as ``<module alias>.name``, or as ``hook(<module alias>, "name")``
 (perfbench wraps functions by attribute name). Names that only tests call
-must either be wired into a config and a recipe, or be removed; the few
-exceptions below are kept on purpose.
+must either be wired into a config and a recipe, or be removed; the scalar
+reference the replay tests compare against lives in ``tests/reference.py``.
+The one exception below is kept on purpose.
+
+Every attribute that perfbench's sample wraps must exist, so a refactor
+that moves a hooked name fails here as well as in the benchmark's
+``hooks_missing``.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
+
+import akwinfer
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "akwinfer"
@@ -21,9 +29,6 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 ALLOWED_UNUSED = {
-    ("kwengine", "run"): "scalar reference the engine replay tests compare against",
-    ("random_scaling", "scaling_update"): "scalar reference for the engine's random-scaling sums",
-    ("plugin_inference", "HessianAccumulator"): "scalar curvature reference of criterion 07 and the replays",
     ("simharness", "read_replications"): "artifact reader; the summary round-trip test uses it",
 }
 
@@ -143,3 +148,30 @@ def test_guard_sees_module_aliases_and_hooks():
     assert ("directions", "draw_directions", "simharness.py") in uses
     # ``from .random_scaling import ONE_SIDED_QUANTILES``
     assert ("random_scaling", "ONE_SIDED_QUANTILES", "cli.py") in uses
+
+
+class _RecordingTracer:
+    """Stands in for perfbench's tracer and records what it is asked to wrap."""
+
+    def __init__(self):
+        self.wrapped = []
+
+    def wrap(self, owner, attr, name, count=None):
+        self.wrapped.append((owner, attr))
+
+
+def test_perfbench_hooks_name_existing_attributes():
+    path = ROOT / "perfbench" / "sample.py"
+    spec = importlib.util.spec_from_file_location("perfbench_sample", path)
+    sample = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sample)
+    tracer = _RecordingTracer()
+    sample._coarse_hooks(tracer, akwinfer)
+    sample._fine_hooks(tracer, akwinfer)
+    assert tracer.wrapped
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr in tracer.wrapped
+        if not hasattr(owner, attr)
+    ]
+    assert not missing, missing

