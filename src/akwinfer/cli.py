@@ -106,10 +106,7 @@ def _build_config(raw: dict, args) -> simharness.ExperimentConfig:
     raw = _apply_overrides(dict(raw), args.override)
     if args.seed is not None:
         raw["seed"] = args.seed
-    cfg, diags = simharness.parse_config(raw)
-    if cfg is None:
-        raise simharness.ConfigError("\n".join(diags))
-    return cfg
+    return simharness.config_from_dict(raw)
 
 
 def _execute(cfgs: list[simharness.ExperimentConfig], args) -> int:

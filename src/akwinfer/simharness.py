@@ -53,8 +53,7 @@ import math
 import operator
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -97,21 +96,6 @@ __all__ = [
 
 METHODS = ("plugin", "random_scaling", "oracle")
 ALGORITHMS = ("akw", "rm")
-
-CSV_FIELDS = (
-    "run_id",
-    "replication",
-    "method",
-    "est_error",
-    "cov_error",
-    "ci_center",
-    "ci_length",
-    "covered",
-    "queries",
-    "aborted",
-)
-CHECKPOINT_FIELDS = CSV_FIELDS[:3] + ("n",) + CSV_FIELDS[3:]
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message lists every violation."""
@@ -227,7 +211,7 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Canonical JSON-serializable form; the config hash is taken over it."""
-        d = {
+        return {
             "name": self.name,
             "algorithm": self.algorithm,
             "model": {
@@ -247,27 +231,16 @@ class ExperimentConfig:
                 else [[float(v) for v in row] for row in self.dist.u],
                 "p": None if self.dist.p is None else [float(v) for v in self.dist.p],
             },
-            "schedules": {
-                "eta0": self.sched.eta0,
-                "alpha": self.sched.alpha,
-                "h0": self.sched.h0,
-                "gamma": self.sched.gamma,
-            },
+            "schedules": asdict(self.sched),
             "n": self.n,
             "replications": self.replications,
             "seed": self.seed,
             "level": self.level,
             "w": [float(v) for v in self.w],
             "inference": list(self.inference),
-            "plugin": {
-                "p": self.plugin.p,
-                "kappa1": self.plugin.kappa1,
-                "subsampling": self.plugin.subsampling,
-                "every": self.plugin.every,
-            },
+            "plugin": asdict(self.plugin),
             "checkpoints": list(self.checkpoints),
         }
-        return d
 
     @property
     def config_hash(self) -> str:
@@ -316,16 +289,51 @@ def _reals(values, key: str) -> np.ndarray:
     return np.array([_real(v, f"{key} entry") for v in values], dtype=float)
 
 
+_CONVERT = {"float": _real, "int": _integer}
+
+# The top-level keys that ExperimentConfig has a default for, each with its
+# conversion, in the order the conversions run.
+_OPTIONAL = {
+    "inference": tuple,
+    "w": lambda v: None if v is None else _reals(v, "w"),
+    "level": lambda v: _real(v, "level"),
+    "algorithm": lambda v: v,
+    "name": str,
+}
+
+
+def _given(cls, raw: dict, where: str, names=None) -> dict:
+    """The fields of the dataclass ``cls`` that ``raw`` sets (of ``names``
+    only, if given), in field order, each converted by its annotation:
+    ``float`` through ``_real``, ``int`` through ``_integer``, any other as
+    given. A field ``raw`` leaves out is left out, so it takes its default."""
+    return {
+        f.name: _CONVERT.get(f.type, lambda v, _: v)(raw[f.name], f"{where}.{f.name}")
+        for f in fields(cls)
+        if f.name in raw and (names is None or f.name in names)
+    }
+
+
+def _section(cls, raw: dict, where: str, diags: list[str]):
+    """The config section ``raw[where]`` as the dataclass ``cls``, whose
+    fields are the section's keys; None if it is invalid, with the
+    violations appended to ``diags``."""
+    section = dict(raw.get(where, {}))
+    _check_keys(section, {f.name for f in fields(cls)}, where, diags)
+    try:
+        return cls(**_given(cls, section, where))
+    except (ValueError, TypeError) as exc:
+        diags.append(f"{where}: {exc}")
+        return None
+
+
 def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Strict config parse; returns (config-or-None, list of violations)."""
     diags: list[str] = []
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
-    top = {
-        "name", "algorithm", "model", "directions", "schedules", "n",
-        "replications", "seed", "level", "w", "inference", "plugin",
-        "checkpoints",
-    }
+    top = {"model", "directions", "schedules", "plugin", "n", "replications",
+           "seed", "checkpoints", *_OPTIONAL}
     _check_keys(raw, top, "config", diags)
 
     mraw = dict(raw.get("model", {}))
@@ -353,10 +361,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         model = models.ModelSpec(
             family=mraw.get("family", "linear"),
             theta_star=theta,
-            sigma2=_real(mraw.get("sigma2", 0.2), "model.sigma2"),
-            tau=_real(mraw.get("tau", 0.5), "model.tau"),
-            design=mraw.get("design", "identity"),
-            rho=_real(mraw.get("rho", 0.2), "model.rho"),
+            **_given(models.ModelSpec, mraw, "model", ("sigma2", "tau", "design", "rho")),
         )
     except (ValueError, TypeError) as exc:
         diags.append(f"model: {exc}")
@@ -381,39 +386,13 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 u=u,
                 p=None if p is None else _reals(p, "directions.p"),
             )
-            mode = dirs.QueryMode(
-                m=_integer(draw.get("m", 1), "directions.m"),
-                replacement=draw.get("replacement", "with"),
-            )
+            mode = dirs.QueryMode(**_given(dirs.QueryMode, draw, "directions"))
             dirs._check_mode(dist, mode)
         except (ValueError, TypeError) as exc:
             diags.append(f"directions: {exc}")
 
-    sraw = dict(raw.get("schedules", {}))
-    _check_keys(sraw, {"eta0", "alpha", "h0", "gamma"}, "schedules", diags)
-    sched = None
-    try:
-        sched = Schedules(
-            eta0=_real(sraw.get("eta0", 0.1), "schedules.eta0"),
-            alpha=_real(sraw.get("alpha", 0.501), "schedules.alpha"),
-            h0=_real(sraw.get("h0", 0.1), "schedules.h0"),
-            gamma=_real(sraw.get("gamma", 0.7), "schedules.gamma"),
-        )
-    except (ValueError, TypeError) as exc:
-        diags.append(f"schedules: {exc}")
-
-    praw = dict(raw.get("plugin", {}))
-    _check_keys(praw, {"p", "kappa1", "subsampling", "every"}, "plugin", diags)
-    plugin = None
-    try:
-        plugin = PluginSettings(
-            p=_real(praw.get("p", 1.0), "plugin.p"),
-            kappa1=_real(praw.get("kappa1", 1e-3), "plugin.kappa1"),
-            subsampling=praw.get("subsampling", "ipw"),
-            every=_integer(praw.get("every", 1), "plugin.every"),
-        )
-    except (ValueError, TypeError) as exc:
-        diags.append(f"plugin: {exc}")
+    sched = _section(Schedules, raw, "schedules", diags)
+    plugin = _section(PluginSettings, raw, "plugin", diags)
 
     counts = {}
     for key, default in (("n", 100_000), ("replications", 100), ("seed", 0)):
@@ -421,13 +400,14 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             counts[key] = _integer(raw.get(key, default), key)
         except ValueError as exc:
             diags.append(f"config: {exc}")
-    cps = raw.get("checkpoints", ())
-    try:
-        if not isinstance(cps, (list, tuple)):
-            raise ValueError(f"checkpoints must be a list of integers, got {cps!r}")
-        counts["checkpoints"] = tuple(_integer(c, "checkpoints entry") for c in cps)
-    except ValueError as exc:
-        diags.append(f"config: {exc}")
+    if "checkpoints" in raw:
+        cps = raw["checkpoints"]
+        try:
+            if not isinstance(cps, (list, tuple)):
+                raise ValueError(f"checkpoints must be a list of integers, got {cps!r}")
+            counts["checkpoints"] = tuple(_integer(c, "checkpoints entry") for c in cps)
+        except ValueError as exc:
+            diags.append(f"config: {exc}")
 
     if diags or model is None or dist is None or sched is None or plugin is None:
         return None, diags
@@ -437,12 +417,8 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             dist=dist,
             mode=mode,
             sched=sched,
-            inference=tuple(raw.get("inference", list(METHODS))),
-            w=None if raw.get("w") is None else _reals(raw["w"], "w"),
-            level=_real(raw.get("level", 0.95), "level"),
             plugin=plugin,
-            algorithm=raw.get("algorithm", "akw"),
-            name=str(raw.get("name", "run")),
+            **{key: convert(raw[key]) for key, convert in _OPTIONAL.items() if key in raw},
             **counts,
         )
     except (ValueError, TypeError) as exc:
@@ -454,7 +430,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg, diags = parse_config(raw)
     if cfg is None:
-        raise ConfigError("; ".join(diags) or "invalid config")
+        raise ConfigError("\n".join(diags) or "invalid config")
     return cfg
 
 
@@ -502,7 +478,14 @@ class ReplicationRecord:
     covered: int | None
     queries: int
     aborted: int
-    n: int = 0  # populated for checkpoint records only
+    # the step count the record was taken at; replications.csv has no n
+    # column, so a final record read back from it has n = 0
+    n: int = 0
+
+
+# the records' CSV columns, in field order; checkpoints.csv adds n after method
+CSV_FIELDS = tuple(f.name for f in fields(ReplicationRecord) if f.name != "n")
+CHECKPOINT_FIELDS = CSV_FIELDS[:3] + ("n",) + CSV_FIELDS[3:]
 
 
 @dataclass
@@ -512,7 +495,6 @@ class ExperimentReport:
     records: list[ReplicationRecord]
     checkpoint_records: list[ReplicationRecord]
     summary: dict
-    wall_time: float
 
 
 def summarize_records(records: list[ReplicationRecord]) -> dict:
@@ -587,12 +569,10 @@ class _ChunkState:
         self.hess = np.zeros((c, d, d))
         self.hess_prev = np.zeros((c, d, d))
         self.hess_count = np.zeros(c, dtype=np.int64)
-        self.sc_a = np.zeros(c)
-        self.sc_a_c = np.zeros(c)
-        self.sc_b = np.zeros(c)
-        self.sc_b_c = np.zeros(c)
-        self.sc_s = np.zeros(c)
-        self.sc_s_c = np.zeros(c)
+        # the random-scaling sums of i²(w·θ̄)², i²(w·θ̄) and i² in columns
+        # a, b, s, and their Kahan compensations
+        self.sc = np.zeros((c, 3))
+        self.sc_c = np.zeros((c, 3))
 
 
 def _oracle_truth(cfg: ExperimentConfig) -> np.ndarray:
@@ -611,7 +591,7 @@ def _method_records(
 ) -> list[ReplicationRecord]:
     """Inference records for every replication in the chunk at its current n;
     ``c_norm`` is the spectral norm of ``c_true``."""
-    w = cfg.w
+    w, run_id = cfg.w, cfg.run_id  # run_id hashes the resolved config
     target = float(w @ cfg.model.theta_star)
     denom = float(np.linalg.norm(cfg.model.theta_star)) or 1.0
     records = []
@@ -630,14 +610,14 @@ def _method_records(
                     ci = plugin_ci(st.theta_bar[j], cov, w, n_j, cfg.level)
                 elif method == "random_scaling":
                     t = np.array([w @ st.theta_bar[j]])  # the 1-d problem in w·θ̄
-                    a, b = st.sc_a[j:j + 1, None], st.sc_b[j:j + 1]
-                    v = assemble_v(a, b, st.sc_s[j], n_j, t)
+                    a, b = st.sc[j:j + 1, 0:1], st.sc[j:j + 1, 1]
+                    v = assemble_v(a, b, st.sc[j, 2], n_j, t)
                     ci = scaling_ci(t, v, np.ones(1), n_j, cfg.level)
                 elif method == "oracle":
                     ci = plugin_ci(st.theta_bar[j], c_true, w, n_j, cfg.level)
             records.append(
                 ReplicationRecord(
-                    run_id=cfg.run_id,
+                    run_id=run_id,
                     replication=int(rep),
                     method=method,
                     est_error=est_error,
@@ -758,13 +738,9 @@ class _StepGroup:
             i = steps.astype(float)
             w_i = (i * i)[:, None]
             p = (self.theta_bar[:k] * self.cfg.w).sum(axis=-1)  # w·θ̄, (k, C)
-
-            def live_sum(term):
-                return _step_sum(np.where(live, term, 0.0), 0)
-
-            st.sc_a, st.sc_a_c = kahan_add(st.sc_a, st.sc_a_c, live_sum(w_i * (p * p)))
-            st.sc_b, st.sc_b_c = kahan_add(st.sc_b, st.sc_b_c, live_sum(w_i * p))
-            st.sc_s, st.sc_s_c = kahan_add(st.sc_s, st.sc_s_c, live_sum(w_i))
+            terms = w_i * np.stack([p * p, p, np.ones_like(p)])  # (3, k, C)
+            live_sum = _step_sum(np.where(live, terms, 0.0), 1)
+            st.sc, st.sc_c = kahan_add(st.sc, st.sc_c, live_sum.T)
 
     def _fold_probe(self, st: _ChunkState, live: np.ndarray) -> None:
         """Four-point curvature of the group's q probe steps; ``live`` is (q, C)."""
@@ -1001,7 +977,6 @@ def run_experiment(
     byte-identical for any worker count. Each replication's randomness
     comes from ``default_rng(seed + replication)``.
     """
-    started = time.perf_counter()
     c_true = _oracle_truth(cfg)
     c_norm = spectral_norm(c_true)
     records: list[ReplicationRecord] = []
@@ -1029,7 +1004,6 @@ def run_experiment(
         records=records,
         checkpoint_records=checkpoint_records,
         summary=summary,
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -1048,6 +1022,8 @@ def sweep(cfgs: list[ExperimentConfig], workers: int | None = None) -> list[Expe
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -1066,23 +1042,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _records_csv(records: list[ReplicationRecord], fields) -> str:
-    lines = [",".join(fields)]
-    for r in records:
-        row = {
-            "run_id": r.run_id,
-            "replication": str(r.replication),
-            "method": r.method,
-            "n": str(r.n),
-            "est_error": _fmt(r.est_error),
-            "cov_error": _fmt(r.cov_error),
-            "ci_center": _fmt(r.ci_center),
-            "ci_length": _fmt(r.ci_length),
-            "covered": "" if r.covered is None else str(r.covered),
-            "queries": str(r.queries),
-            "aborted": str(r.aborted),
-        }
-        lines.append(",".join(row[f] for f in fields))
+def _records_csv(records: list[ReplicationRecord], columns) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(getattr(r, c)) for c in columns) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -1111,24 +1073,24 @@ def write_report(report: ExperimentReport, output_dir: str) -> str:
     return run_dir
 
 
+def _from_text(annotation: str, text: str):
+    """A CSV cell back as its field's type: an empty cell of an optional
+    field is None."""
+    kind, _, optional = annotation.partition(" | ")
+    if optional and not text:
+        return None
+    return {"str": str, "int": int, "float": float}[kind](text)
+
+
 def read_replications(path: str) -> list[ReplicationRecord]:
-    """Parse a replications CSV back into records (aggregate round-trips)."""
-    records = []
+    """Parse a replications or checkpoints CSV back into records. A field
+    without a column (``n`` in replications.csv) takes its default."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                ReplicationRecord(
-                    run_id=row["run_id"],
-                    replication=int(row["replication"]),
-                    method=row["method"],
-                    est_error=float(row["est_error"]),
-                    cov_error=float(row["cov_error"]) if row["cov_error"] else None,
-                    ci_center=float(row["ci_center"]) if row["ci_center"] else None,
-                    ci_length=float(row["ci_length"]) if row["ci_length"] else None,
-                    covered=int(row["covered"]) if row["covered"] else None,
-                    queries=int(row["queries"]),
-                    aborted=int(row["aborted"]),
-                    n=int(row.get("n", 0) or 0),
-                )
-            )
-    return records
+        return [
+            ReplicationRecord(**{
+                f.name: _from_text(f.type, row[f.name])
+                for f in fields(ReplicationRecord)
+                if f.name in row
+            })
+            for row in csv.DictReader(fh)
+        ]

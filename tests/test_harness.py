@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import dataclasses
 import functools
 import itertools
 import json
@@ -179,6 +180,84 @@ def test_config_validation_rules():
     assert cfg.checkpoints == (100, 200)
 
 
+# Literal resolved() dicts and hashes, so that a change to a key, a default or
+# the canonical form shows up as a changed run id.
+PINNED_CONFIGS = [
+    (
+        {"model": {"theta": [0.6, -0.8]}},
+        {
+            "name": "run",
+            "algorithm": "akw",
+            "model": {"family": "linear", "theta": [0.6, -0.8], "sigma2": 0.2,
+                      "tau": 0.5, "design": "identity", "rho": 0.2},
+            "directions": {"kind": "spherical", "m": 1, "replacement": "with",
+                           "basis": None, "p": None},
+            "schedules": {"eta0": 0.1, "alpha": 0.501, "h0": 0.1, "gamma": 0.7},
+            "n": 100000,
+            "replications": 100,
+            "seed": 0,
+            "level": 0.95,
+            "w": [0.7071067811865475, 0.7071067811865475],
+            "inference": ["plugin", "random_scaling", "oracle"],
+            "plugin": {"p": 1.0, "kappa1": 0.001, "subsampling": "ipw", "every": 1},
+            "checkpoints": [],
+        },
+        "f1a4a441e86a6ad5d9352a6dcebdcdfc9e85025781c03c62317da6a05e6d7739",
+    ),
+    (
+        {
+            "name": "pinned",
+            "algorithm": "rm",
+            "model": {"family": "quantile", "theta": [0.6, -0.8], "dim": 2, "sigma2": 0.5,
+                      "tau": 0.25, "design": "equicorr", "rho": -0.3},
+            "directions": {"kind": "orthonormal", "m": 2, "replacement": "without",
+                           "basis_seed": 3},
+            "schedules": {"eta0": 0.05, "alpha": 0.6, "h0": 0.2, "gamma": 0.8},
+            "plugin": {"p": 0.5, "kappa1": 0.01, "subsampling": "inherit", "every": 3},
+            "n": 500,
+            "replications": 7,
+            "seed": 9,
+            "level": 0.9,
+            "w": [1.0, 2.0],
+            "checkpoints": [400, 100],
+            "inference": ["oracle", "random_scaling"],
+        },
+        {
+            "name": "pinned",
+            "algorithm": "rm",
+            "model": {"family": "quantile", "theta": [0.6, -0.8], "sigma2": 0.5,
+                      "tau": 0.25, "design": "equicorr", "rho": -0.3},
+            "directions": {
+                "kind": "orthonormal",
+                "m": 2,
+                "replacement": "without",
+                "basis": [[0.9796547518153702, 0.20069022708035725],
+                          [0.20069022708035722, -0.9796547518153702]],
+                "p": None,
+            },
+            "schedules": {"eta0": 0.05, "alpha": 0.6, "h0": 0.2, "gamma": 0.8},
+            "n": 500,
+            "replications": 7,
+            "seed": 9,
+            "level": 0.9,
+            "w": [1.0, 2.0],
+            "inference": ["random_scaling", "oracle"],
+            "plugin": {"p": 0.5, "kappa1": 0.01, "subsampling": "inherit", "every": 3},
+            "checkpoints": [100, 400],
+        },
+        "4806f2d38612145473afb72093bb1afb24604c28990b41f33c9802d072f237ea",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, resolved, config_hash", PINNED_CONFIGS,
+                         ids=["defaults", "every-key-set"])
+def test_config_schema_is_pinned(raw, resolved, config_hash):
+    cfg = sh.config_from_dict(raw)
+    assert cfg.resolved() == resolved
+    assert cfg.config_hash == config_hash
+
+
 def test_config_hash_ignores_dict_order_but_not_values():
     a = sh.config_from_dict(small_raw())
     b = sh.config_from_dict(dict(reversed(list(small_raw().items()))))
@@ -292,9 +371,9 @@ def test_vectorized_gram_and_scaling_match_scalar_replay(monkeypatch, family, di
             a_terms.append(float(i) * float(i) * (p * p))
             b_terms.append(float(i) * float(i) * p)
         _assert_sums_match(np.sum(grams, axis=0), st.gram[rep], grams)
-        _assert_sums_match(acc.a[0, 0], st.sc_a[rep], a_terms)
-        _assert_sums_match(acc.b[0], st.sc_b[rep], b_terms)
-        _assert_sums_match(acc.s, st.sc_s[rep], np.arange(1.0, cfg.n + 1) ** 2)
+        _assert_sums_match(acc.a[0, 0], st.sc[rep, 0], a_terms)
+        _assert_sums_match(acc.b[0], st.sc[rep, 1], b_terms)
+        _assert_sums_match(acc.s, st.sc[rep, 2], np.arange(1.0, cfg.n + 1) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -420,8 +499,7 @@ def test_records_do_not_depend_on_block(monkeypatch, p):
     (st0, report0), *others = runs
     assert report0.checkpoint_records
     for st, report in others:
-        for name in ("theta_bar", "gram", "hess", "hess_count", "sc_a", "sc_b", "sc_s",
-                     "queries", "n_done"):
+        for name in ("theta_bar", "gram", "hess", "hess_count", "sc", "queries", "n_done"):
             assert np.array_equal(getattr(st, name), getattr(st0, name)), name
         assert report.records == report0.records
         assert report.checkpoint_records == report0.checkpoint_records
@@ -690,22 +768,30 @@ def test_resolve_workers(monkeypatch):
             sh.resolve_workers(bad)
 
 
+# The second config trips the divergence guard, so its files hold empty
+# cells for the None columns of the aborted rows.
 def test_write_and_read_report_round_trip(tmp_path):
-    cfg = sh.config_from_dict(small_raw(n=120, replications=4, checkpoints=[60]))
-    report = sh.run_experiment(cfg)
-    run_dir = sh.write_report(report, str(tmp_path))
-    assert os.path.basename(run_dir) == cfg.run_id
-    back = sh.read_replications(os.path.join(run_dir, "replications.csv"))
-    assert sh.summarize_records(back) == sh.summarize_records(report.records)
-    with open(os.path.join(run_dir, "summary.json")) as fh:
-        summary = json.load(fh)
-    assert summary["run_id"] == cfg.run_id
-    assert "wall_time" not in summary
-    with open(os.path.join(run_dir, "config.resolved.json")) as fh:
-        assert json.load(fh) == cfg.resolved()
-    cps = sh.read_replications(os.path.join(run_dir, "checkpoints.csv"))
-    assert {r.n for r in cps} == {60}
-    assert len(cps) == 4 * len(sh.METHODS)
+    for schedules in ({}, {"eta0": 1e7}):
+        cfg = sh.config_from_dict(
+            small_raw(n=120, replications=4, checkpoints=[60], schedules=schedules)
+        )
+        report = sh.run_experiment(cfg)
+        assert any(r.aborted for r in report.records) == bool(schedules)
+        run_dir = sh.write_report(report, str(tmp_path))
+        assert os.path.basename(run_dir) == cfg.run_id
+        back = sh.read_replications(os.path.join(run_dir, "replications.csv"))
+        assert back == [dataclasses.replace(r, n=0) for r in report.records]
+        assert sh.summarize_records(back) == sh.summarize_records(report.records)
+        with open(os.path.join(run_dir, "summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["run_id"] == cfg.run_id
+        assert "wall_time" not in summary
+        with open(os.path.join(run_dir, "config.resolved.json")) as fh:
+            assert json.load(fh) == cfg.resolved()
+        cps = sh.read_replications(os.path.join(run_dir, "checkpoints.csv"))
+        assert cps == report.checkpoint_records
+        assert {r.n for r in cps} == {60}
+        assert len(cps) == 4 * len(sh.METHODS)
 
 
 def test_rerun_writes_identical_bytes(tmp_path):
