@@ -20,6 +20,7 @@ __all__ = [
     "DirectionDistribution",
     "QueryMode",
     "random_orthonormal",
+    "basis_rows",
     "draw_directions",
     "analytic_q",
     "analytic_q_multi",
@@ -30,6 +31,13 @@ KINDS = ("gaussian", "spherical", "canonical", "orthonormal", "nonuniform")
 #: Kinds that sample from a fixed orthonormal basis and therefore support
 #: drawing several distinct directions per iteration.
 BASIS_KINDS = ("canonical", "orthonormal")
+
+#: Kinds whose every direction is a row of ``basis_rows(dist)``; their draw
+#: is a row index, which ``draw_directions`` returns on request.
+INDEXED_KINDS = BASIS_KINDS + ("nonuniform",)
+
+#: Indexed kinds whose row k is a multiple of e_k.
+COORDINATE_KINDS = ("canonical", "nonuniform")
 
 
 def random_orthonormal(dim: int, seed: int) -> np.ndarray:
@@ -121,16 +129,37 @@ def _check_mode(dist: DirectionDistribution, mode: QueryMode) -> None:
             )
 
 
+def basis_rows(dist: DirectionDistribution) -> np.ndarray:
+    """The (dim, dim) matrix whose row k is direction k of an indexed law:
+    √d·e_k (canonical), √d times column k of ``u`` (orthonormal) and
+    e_k/√p_k (nonuniform)."""
+    d = dist.dim
+    if dist.kind == "canonical":
+        return math.sqrt(d) * np.eye(d)
+    if dist.kind == "orthonormal":
+        return math.sqrt(d) * dist.u.T
+    if dist.kind == "nonuniform":
+        return np.eye(d) / np.sqrt(dist.p)[:, None]
+    raise ValueError(f"kind {dist.kind!r} has no basis rows")
+
+
 def draw_directions(
     rng: np.random.Generator,
     dist: DirectionDistribution,
     mode: QueryMode,
     size: int,
+    *,
+    indices: bool = False,
 ) -> np.ndarray:
     """Direction vectors for ``size`` iterations, shape (size, m, dim).
 
-    Without replacement each iteration's indices are a uniformly random
-    ordered m-subset of the basis (argsort of uniform keys).
+    An indexed law (``INDEXED_KINDS``) draws the (size, m) row indices into
+    ``basis_rows(dist)`` and expands them; with ``indices`` it returns the
+    indices instead, from the same draws. Gaussian and spherical
+    directions are always returned dense. Without replacement each
+    iteration's indices are a uniformly random ordered m-subset of the
+    basis (argsort of uniform keys); nonuniform indices come from an
+    inverse-CDF lookup.
     """
     d, m = dist.dim, mode.m
     kind = dist.kind
@@ -140,18 +169,14 @@ def draw_directions(
             return g
         norms = np.sqrt((g * g).sum(axis=2, keepdims=True))
         return math.sqrt(d) * g / norms
-    if kind in BASIS_KINDS:
-        if mode.without_replacement:
-            idx = np.argsort(rng.random((size, d)), axis=1)[:, :m]
-        else:
-            idx = rng.integers(0, d, size=(size, m))
-        if kind == "canonical":
-            return math.sqrt(d) * np.eye(d)[idx]
-        return math.sqrt(d) * dist.u.T[idx]
-    # nonuniform canonical directions via inverse-CDF lookup
-    cum = np.cumsum(dist.p)
-    idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
-    return np.eye(d)[idx] / np.sqrt(dist.p)[idx][:, :, None]
+    if kind == "nonuniform":
+        cum = np.cumsum(dist.p)
+        idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
+    elif mode.without_replacement:
+        idx = np.argsort(rng.random((size, d)), axis=1)[:, :m]
+    else:
+        idx = rng.integers(0, d, size=(size, m))
+    return idx if indices else basis_rows(dist)[idx]
 
 
 def analytic_q(dist: DirectionDistribution, s: np.ndarray) -> np.ndarray:

@@ -19,9 +19,14 @@ chunk split.
 
 The engine runs in two phases over (C, ...) arrays with one row per
 replication. Per step it runs only the averaged Kiefer–Wolfowitz
-recurrence (u0 and f0, the direction losses, the gradient, the θ update,
-the divergence guard and θ̄) and records the gradient, θ̄ and the probe
-inputs. Per group of steps, ``_StepGroup.fold`` adds what never feeds back
+recurrence (u0, then f0 and the direction losses in one loss call, the
+gradient, the θ update, the divergence guard and θ̄) and records the
+gradient, θ̄ and the probe inputs. The tape holds a basis law's
+directions as (C, B, m) row indices. For the coordinate laws (√d·e_k and
+e_k/√p_k) the step gathers x·v = x_k·s_k and scatters the gradient's
+coeff·s_k; orthonormal rows, and gaussian and spherical vectors, go
+through the dense contraction. Both give the dense tape's values bit for
+bit. Per group of steps, ``_StepGroup.fold`` adds what never feeds back
 into the recurrence: the gradient Gram, the four-point curvature probe
 laid out pair-major as (pairs, steps, C), the three random-scaling sums,
 the queries and n_done. Groups end at absolute step indices (their length
@@ -314,11 +319,23 @@ def _given(cls, raw: dict, where: str, names=None) -> dict:
     }
 
 
+def _object(raw: dict, where: str, diags: list[str]) -> dict | None:
+    """The config section ``raw[where]``, {} if it is absent; None if it is
+    not a JSON object, with a violation naming the section in ``diags``."""
+    section = raw.get(where, {})
+    if isinstance(section, dict):
+        return section
+    diags.append(f"{where}: must be a JSON object, got {section!r}")
+    return None
+
+
 def _section(cls, raw: dict, where: str, diags: list[str]):
     """The config section ``raw[where]`` as the dataclass ``cls``, whose
     fields are the section's keys; None if it is invalid, with the
     violations appended to ``diags``."""
-    section = dict(raw.get(where, {}))
+    section = _object(raw, where, diags)
+    if section is None:
+        return None
     _check_keys(section, {f.name for f in fields(cls)}, where, diags)
     try:
         return cls(**_given(cls, section, where))
@@ -336,42 +353,44 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
            "seed", "checkpoints", *_OPTIONAL}
     _check_keys(raw, top, "config", diags)
 
-    mraw = dict(raw.get("model", {}))
-    _check_keys(
-        mraw,
-        {"family", "dim", "theta", "theta_seed", "sigma2", "tau", "design", "rho"},
-        "model",
-        diags,
-    )
+    mraw = _object(raw, "model", diags)
     model = None
-    try:
-        theta = mraw.get("theta")
-        if theta is None:
-            dim = mraw.get("dim")
-            if dim is None:
-                raise ValueError("model needs 'theta' or 'dim'")
-            theta = models.theta_on_unit_sphere(
-                _integer(dim, "model.dim"),
-                _integer(mraw.get("theta_seed", 2024), "model.theta_seed"),
-            )
-        else:
-            theta = _reals(theta, "model.theta")
-            if "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
-                raise ValueError("model.theta length contradicts model.dim")
-        model = models.ModelSpec(
-            family=mraw.get("family", "linear"),
-            theta_star=theta,
-            **_given(models.ModelSpec, mraw, "model", ("sigma2", "tau", "design", "rho")),
+    if mraw is not None:
+        _check_keys(
+            mraw,
+            {"family", "dim", "theta", "theta_seed", "sigma2", "tau", "design", "rho"},
+            "model",
+            diags,
         )
-    except (ValueError, TypeError) as exc:
-        diags.append(f"model: {exc}")
+        try:
+            theta = mraw.get("theta")
+            if theta is None:
+                dim = mraw.get("dim")
+                if dim is None:
+                    raise ValueError("model needs 'theta' or 'dim'")
+                theta = models.theta_on_unit_sphere(
+                    _integer(dim, "model.dim"),
+                    _integer(mraw.get("theta_seed", 2024), "model.theta_seed"),
+                )
+            else:
+                theta = _reals(theta, "model.theta")
+                if "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
+                    raise ValueError("model.theta length contradicts model.dim")
+            model = models.ModelSpec(
+                family=mraw.get("family", "linear"),
+                theta_star=theta,
+                **_given(models.ModelSpec, mraw, "model", ("sigma2", "tau", "design", "rho")),
+            )
+        except (ValueError, TypeError) as exc:
+            diags.append(f"model: {exc}")
 
-    draw = dict(raw.get("directions", {}))
-    _check_keys(
-        draw, {"kind", "m", "replacement", "p", "basis_seed"}, "directions", diags
-    )
+    draw = _object(raw, "directions", diags)
     dist = mode = None
-    if model is not None:
+    if draw is not None:
+        _check_keys(
+            draw, {"kind", "m", "replacement", "p", "basis_seed"}, "directions", diags
+        )
+    if model is not None and draw is not None:
         try:
             kind = draw.get("kind", "spherical")
             u = None
@@ -451,11 +470,15 @@ def draw_block(
     directions, optional Bernoulli entry mask — so a replication's tape
     does not depend on how replications are chunked. It does depend on the
     block length: two calls of 100 draw a different tape than one of 200.
-    The engine and the tests' scalar replays consume this.
+    The directions of an indexed law (canonical, orthonormal, nonuniform)
+    are their (size, m) row indices into ``directions.basis_rows``, those
+    of the gaussian and spherical laws the dense (size, m, d) vectors; both
+    come from ``draw_directions``, which expands the indices to the same
+    vectors. The engine and the tests' scalar replays consume this.
     """
     x = oracle.draw_x(rng, size)
     z = rng.random(size) if oracle.noise_kind == "uniform" else rng.standard_normal(size)
-    v = dirs.draw_directions(rng, dist, mode, size)
+    v = dirs.draw_directions(rng, dist, mode, size, indices=True)
     mask = None
     if mask_p is not None and mask_p < 1.0:
         d = oracle.spec.dim
@@ -671,6 +694,12 @@ def _step_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.take(a.cumsum(axis=axis), -1, axis=axis)
 
 
+def _live_only(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``a`` with the (step, row) entries where ``live`` is False zeroed;
+    ``a`` itself while every row is live, where np.where would only copy."""
+    return a if live.all() else np.where(live, a, 0.0)
+
+
 class _StepGroup:
     """What the recurrence leaves behind over one group of steps.
 
@@ -739,7 +768,7 @@ class _StepGroup:
             w_i = (i * i)[:, None]
             p = (self.theta_bar[:k] * self.cfg.w).sum(axis=-1)  # w·θ̄, (k, C)
             terms = w_i * np.stack([p * p, p, np.ones_like(p)])  # (3, k, C)
-            live_sum = _step_sum(np.where(live, terms, 0.0), 1)
+            live_sum = _step_sum(_live_only(terms, live), 1)
             st.sc, st.sc_c = kahan_add(st.sc, st.sc_c, live_sum.T)
 
     def _fold_probe(self, st: _ChunkState, live: np.ndarray) -> None:
@@ -770,7 +799,7 @@ class _StepGroup:
                     prev = np.where(live[j], raw[:, :, j], prev)
                 st.hess_prev[:, ends, ends[::-1]] = np.moveaxis(prev, -1, 0)
         sym = 0.5 * (raw[0] + raw[1])  # the symmetric part (B + Bᵀ)/2
-        st.hess += _step_sum(np.where(live, sym, 0.0), 1).T[:, self.pair]
+        st.hess += _step_sum(_live_only(sym, live), 1).T[:, self.pair]
         st.hess_count += live.sum(axis=0)
         st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)
 
@@ -798,6 +827,56 @@ def _heap_for_temporaries() -> None:
     mallopt(m_trim_threshold, 64 << 20)
 
 
+class _DenseDirections:
+    """A tape block's directions as dense (C, B, m, d) vectors: gaussian and
+    spherical ones as drawn, orthonormal ones gathered from their rows."""
+
+    def __init__(self, dist: dirs.DirectionDistribution):
+        self.rows = dirs.basis_rows(dist) if dist.kind in dirs.INDEXED_KINDS else None
+
+    def block(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """x·v for each step and direction of the block, (B, C, m)."""
+        self.vs = vs if self.rows is None else self.rows[vs]
+        return np.einsum("cbd,cbmd->bcm", xs, self.vs)
+
+    def grad(self, t: int, coeff: np.ndarray) -> np.ndarray:
+        """Σ_j coeff_j·v_j over step t's directions, (C, d)."""
+        return np.einsum("cm,cmd->cd", coeff, self.vs[:, t])
+
+
+class _CoordinateDirections:
+    """A tape block's directions v = s_k·e_k as their indices k, with the
+    scale s_k = √d (canonical) or 1/√p_k (nonuniform).
+
+    Every other term of the dense x·v is a product with zero, so the gather
+    x_k·s_k is the dense sum's value. ``grad`` adds the rounded products
+    coeff_j·s_k at each step's indices in direction order, which is how
+    numpy's einsum adds a repeated index's terms;
+    ``test_index_tape_matches_dense_directions`` checks both against the
+    dense einsum bit for bit.
+    """
+
+    def __init__(self, dist: dirs.DirectionDistribution, c: int):
+        self.scale_of = np.diagonal(dirs.basis_rows(dist)).copy()
+        self.row = np.arange(c)[:, None]
+        self.shape = (c, dist.dim)
+
+    def block(self, xs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        self.idx, self.scale = idx, self.scale_of[idx]
+        return (np.take_along_axis(xs, idx, axis=2) * self.scale).transpose(1, 0, 2)
+
+    def grad(self, t: int, coeff: np.ndarray) -> np.ndarray:
+        g = np.zeros(self.shape)
+        np.add.at(g, (self.row, self.idx[:, t]), coeff * self.scale[:, t])
+        return g
+
+
+def _step_directions(dist: dirs.DirectionDistribution, c: int):
+    if dist.kind in dirs.COORDINATE_KINDS:
+        return _CoordinateDirections(dist, c)
+    return _DenseDirections(dist)
+
+
 def _run_chunk(
     cfg: ExperimentConfig,
     rep_indices: np.ndarray,
@@ -814,6 +893,8 @@ def _run_chunk(
     rngs = [np.random.default_rng(cfg.seed + int(r)) for r in rep_indices]
     mask_p = cfg.plugin.p if "plugin" in cfg.inference else None
     akw = cfg.algorithm == "akw"
+    directions = _step_directions(dist, c)
+    lin = np.empty((c, m + 1))  # u0, then u0 + h·x·v for each direction
     checkpoint_records: list[ReplicationRecord] = []
     marks = list(cfg.checkpoints)
 
@@ -839,24 +920,29 @@ def _run_chunk(
             u_star[j, :size] = (drawn[0] * cfg.model.theta_star).sum(axis=-1)
         xs, zs, vs, masks = (None if b is None else b[:, :size] for b in tape)
         ys = oracle.response_from_noise(u_star[:, :size], zs).T  # step-major (B, C)
-        xvs = np.einsum("cbd,cbmd->bcm", xs, vs) if akw else None
+        xvs = directions.block(xs, vs) if akw else None
+        hs = [sched.h(k) for k in range(i + 1, i + size + 1)]
+        etas = [sched.eta(k) for k in range(i + 1, i + size + 1)]
         for t in range(size):
             i += 1
-            x, y = xs[:, t, :], ys[t]
+            x, y, h = xs[:, t, :], ys[t], hs[t]
             act = st.active
             u0 = np.einsum("cd,cd->c", x, st.theta)
-            h = sched.h(i)
             if akw:
-                f0 = oracle.linpred_loss(u0, y)
-                f1 = oracle.linpred_loss(u0[:, None] + h * xvs[t], y[:, None])
-                coeff = (f1 - f0[:, None]) / h
-                g = np.einsum("cm,cmd->cd", coeff, vs[:, t, :, :]) / m
+                # f0 and the direction losses in one call
+                lin[:, 0] = u0
+                np.add(u0[:, None], h * xvs[t], out=lin[:, 1:])
+                f = oracle.linpred_loss(lin, y[:, None])
+                f0 = f[:, 0]
+                g = directions.grad(t, (f[:, 1:] - f[:, :1]) / h)
+                if m > 1:
+                    g /= m
             else:
                 f0 = None
                 g = oracle.linpred_grad(u0, y)[:, None] * x
             if not all_live:
                 g = np.where(act[:, None], g, 0.0)
-            theta_new = st.theta - sched.eta(i) * g
+            theta_new = st.theta - etas[t] * g
             # one test over the whole chunk; per row only once one fails
             if not within_guard(theta_new.ravel()):
                 blown = act & ~within_guard(theta_new)

@@ -3,13 +3,13 @@
     python3 tests/artifact_digest.py
 
 A change that must leave every artifact byte-identical prints the same
-digest as its parent commit. The matrix has 325 runs, each at d = 3,
+digest as its parent commit. The matrix has 379 runs, each at d = 3,
 n = 160, 5 replications, a checkpoint at 80 and one worker:
 
-- linear/logistic/quantile × identity/equicorr (rho 0.3) × six direction
-  laws × four inference sets × akw/rm (288 runs);
+- linear/logistic/quantile × identity/equicorr (rho 0.3) × seven direction
+  laws × four inference sets × akw/rm (336 runs);
 - the identity design with plug-in only at p = 0.5 with inherit
-  subsampling × the three families, six laws and two algorithms (36 runs);
+  subsampling × the three families, seven laws and two algorithms (42 runs);
 - one linear run whose step size (eta0 = 1e7) makes every replication
   diverge.
 
@@ -36,6 +36,8 @@ DIRECTIONS = (
     {"kind": "orthonormal", "basis_seed": 5},
     {"kind": "nonuniform", "p": [0.2, 0.3, 0.5]},
     {"kind": "canonical", "m": 2, "replacement": "without"},
+    # d = 3 repeats an index in most steps: the gradient scatter's risky case
+    {"kind": "canonical", "m": 3, "replacement": "with"},
 )
 INFERENCE = (
     {"inference": []},

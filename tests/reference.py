@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from akwinfer import models
-from akwinfer.directions import _check_mode, draw_directions
+from akwinfer.directions import INDEXED_KINDS, _check_mode, basis_rows, draw_directions
 from akwinfer.plugin_inference import subsample_block
 from akwinfer.random_scaling import kahan_add
 from akwinfer.simharness import within_guard
@@ -53,6 +53,12 @@ def sample_batch(dist, mode, rng):
     """``mode.m`` directions for one iteration, shape (m, dim)."""
     _check_mode(dist, mode)
     return draw_directions(rng, dist, mode, 1)[0]
+
+
+def dense_directions(dist, v):
+    """A tape's directions ``v`` as dense (..., m, dim) vectors: the tape
+    holds an indexed law's row indices, which this expands."""
+    return basis_rows(dist)[v] if dist.kind in INDEXED_KINDS else v
 
 
 def _u0(x, theta):

@@ -121,6 +121,14 @@ def test_validate_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().out
 
 
+def test_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {**CONFIG, "plugin": 5})
+    assert main(["validate-config", "--config", path]) == 1
+    assert "plugin: must be a JSON object, got 5" in capsys.readouterr().out
+    assert main(["run", "--config", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "config error: plugin: must be a JSON object" in capsys.readouterr().err
+
+
 def test_quantile_check(capsys):
     assert main(["quantile-check", "--paths", "2000", "--steps", "200"]) == 0
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from akwinfer import directions as dirs
 from akwinfer import models
 from akwinfer import simharness as sh
 from akwinfer.random_scaling import assemble_v, scaling_ci
@@ -134,6 +135,16 @@ def test_parse_config_rejects_non_numeric_reals(key, overrides):
     cfg, diags = sh.parse_config(small_raw(**overrides))
     assert cfg is None
     assert any(f"{key} must be a" in d and "number" in d for d in diags), diags
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("model", "x"), ("directions", [1]), ("schedules", None), ("plugin", 5)],
+)
+def test_parse_config_rejects_a_section_that_is_not_an_object(section, value):
+    cfg, diags = sh.parse_config(small_raw(**{section: value}))
+    assert cfg is None
+    assert f"{section}: must be a JSON object, got {value!r}" in diags, diags
 
 
 def test_parse_config_reals_accept_ints_with_unchanged_hash():
@@ -278,12 +289,13 @@ def test_zero_iterations_yields_unit_error_and_no_intervals():
 
 def _tape(cfg, rep, mask_p=None):
     """Replication ``rep``'s oracle, generator and tape x, y, v, mask as the
-    engine draws them (y from the engine's row sum for x·θ*)."""
+    engine draws them (y from the engine's row sum for x·θ*, v expanded to
+    dense directions for the scalar reference's ``dir_batch``)."""
     oracle = models.LossOracle(cfg.model)
     rng = np.random.default_rng(cfg.seed + rep)
     x, z, v, mask = sh.draw_block(rng, oracle, cfg.dist, cfg.mode, cfg.n, mask_p)
     y = oracle.response_from_noise((x * cfg.model.theta_star).sum(axis=-1), z)
-    return oracle, rng, x, y, v, mask
+    return oracle, rng, x, y, kw.dense_directions(cfg.dist, v), mask
 
 
 def _replay(cfg, rep):
@@ -457,6 +469,45 @@ def test_vectorized_curvature_matches_scalar_replay(monkeypatch, family, plugin)
         assert np.array_equal(state.theta_bar, st.theta_bar[rep])
         assert state.query_count + probe_queries == st.queries[rep]
         _assert_sums_match(acc.running_sum, st.hess[rep], terms)
+
+
+def _index_cases():
+    for kind, replacement, d, m in itertools.product(
+        dirs.INDEXED_KINDS, ("with", "without"), (2, 5, 100), (1, 2, 5, 20)
+    ):
+        if replacement == "with" or (kind in dirs.BASIS_KINDS and m <= d):
+            yield pytest.param(kind, replacement, d, m, id=f"{kind}-{replacement}-d{d}-m{m}")
+
+
+# The engine's x·v and gradient from an index tape must be the dense
+# contraction's bit for bit, repeated indices (m = 5 or 20 at d = 2) included.
+@pytest.mark.parametrize("kind, replacement, d, m", list(_index_cases()))
+def test_index_tape_matches_dense_directions(kind, replacement, d, m):
+    rng = np.random.default_rng(100 * d + m)
+    dist = dirs.DirectionDistribution(
+        kind,
+        d,
+        u=dirs.random_orthonormal(d, 3) if kind == "orthonormal" else None,
+        p=rng.dirichlet(np.ones(d)) if kind == "nonuniform" else None,
+    )
+    mode = dirs.QueryMode(m, replacement)
+    c, b = 7, 40
+
+    def tape(indices):
+        return np.stack([
+            dirs.draw_directions(np.random.default_rng(r), dist, mode, b, indices=indices)
+            for r in range(c)
+        ])
+
+    idx, dense = tape(True), tape(False)
+    assert idx.shape == (c, b, m)
+    xs = rng.standard_normal((c, b, d))
+    coeff = rng.standard_normal((b, c, m)) * 10.0 ** rng.uniform(-3, 3, (b, c, m))
+    directions = sh._step_directions(dist, c)
+    assert np.array_equal(directions.block(xs, idx), np.einsum("cbd,cbmd->bcm", xs, dense))
+    for t in range(b):
+        want = np.einsum("cm,cmd->cd", coeff[t], dense[:, t])
+        assert np.array_equal(directions.grad(t, coeff[t]), want)
 
 
 def _block_free_tape(draw, n):
