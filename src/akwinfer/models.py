@@ -119,17 +119,21 @@ class LossOracle:
 
     # -- loss evaluation ------------------------------------------------
 
-    def linpred_loss(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Loss as a function of the linear predictor ``u = x^T theta``."""
+    def linpred_loss(self, u: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+        """Loss as a function of the linear predictor ``u = x^T theta``,
+        written into ``out`` if given (which may be ``u`` itself)."""
         family = self.spec.family
-        if family == "linear":
-            r = y - u
-            return r * r
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(u), np.shape(y)))
         if family == "logistic":
-            return np.logaddexp(0.0, -y * u)
-        r = y - u
+            return np.logaddexp(0.0, np.multiply(-y, u, out=out), out=out)
+        r = np.subtract(y, u, out=out)
+        if family == "linear":
+            return np.multiply(r, r, out=r)
+        below = r < 0.0
         tau = self.spec.tau
-        return r * (tau - (r < 0.0))
+        np.multiply(r, tau - 1.0, out=r, where=below)
+        return np.multiply(r, tau, out=r, where=~below)
 
     def linpred_grad(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Derivative of ``linpred_loss`` in ``u`` (a subgradient at the

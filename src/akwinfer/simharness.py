@@ -50,8 +50,6 @@ replay it against a step-by-step scalar reference kept in ``tests/``.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import hashlib
 import json
 import math
@@ -672,16 +670,23 @@ def _pair_losses(
     xt: np.ndarray,
     h,
     ends: np.ndarray,
+    lin: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Four-point pair losses ``f(u0 + h (x_k + x_l))`` for k <= l, pair-major.
+    """Four-point pair losses ``f(u0 + h (x_k + x_l))`` for k <= l, pair-major,
+    into ``out``, through the linear predictors in ``lin`` (both C-contiguous).
 
     ``xt`` carries the coordinates on its first axis, the result the pairs;
     ``u0``, ``y`` and ``h`` broadcast against the remaining axes. Each
     unordered pair is evaluated once: IEEE addition commutes, so gathering
     the result into (k, l) and (l, k) is bit-identical to all d² entries.
+    The gathers clip: ``np.take``'s default mode buffers ``out``.
     """
     k, l = ends
-    return oracle.linpred_loss(u0 + h * (xt[k] + xt[l]), y)
+    np.take(xt, k, axis=0, out=lin, mode="clip")
+    np.add(lin, np.take(xt, l, axis=0, out=out, mode="clip"), out=lin)
+    np.add(u0, np.multiply(h, lin, out=lin), out=lin)
+    return oracle.linpred_loss(lin, y, out=out)
 
 
 def _step_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -694,10 +699,9 @@ def _step_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.take(a.cumsum(axis=axis), -1, axis=axis)
 
 
-def _live_only(a: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """``a`` with the (step, row) entries where ``live`` is False zeroed;
-    ``a`` itself while every row is live, where np.where would only copy."""
-    return a if live.all() else np.where(live, a, 0.0)
+def _view(work: np.ndarray, *shape: int) -> np.ndarray:
+    """The start of the flat work array ``work`` as a C-contiguous ``shape``."""
+    return work[:math.prod(shape)].reshape(shape)
 
 
 class _StepGroup:
@@ -709,7 +713,9 @@ class _StepGroup:
     random-scaling sums of w·θ̄, the queries and n_done to the chunk state in
     a few batched operations. The Gram and the probe are laid out pair-major,
     (pairs, steps, C). A replication is live after step i while
-    ``i < abort_step``.
+    ``i < abort_step``. The fold computes into flat work arrays allocated
+    once per chunk, through C-contiguous views (``_view``); every expression
+    keeps its operands and their order, so fresh temporaries give its bits.
     """
 
     def __init__(self, cfg: ExperimentConfig, oracle: models.LossOracle, c: int):
@@ -717,7 +723,7 @@ class _StepGroup:
         self.ends, self.pair = _pair_index(d)
         pairs = self.ends.shape[1] if "plugin" in cfg.inference else 0
         size = max(1, FOLD_BUDGET // (pairs + d))
-        self.cfg, self.oracle, self.size = cfg, oracle, size
+        self.cfg, self.oracle, self.size, self.c = cfg, oracle, size, c
         self.start = self.steps = self.probes = 0
         self.step_queries = cfg.mode.m + 1 if cfg.algorithm == "akw" else 1
         self.grads = self.f0 = self.mask = self.theta_bar = None
@@ -730,8 +736,11 @@ class _StepGroup:
                 self.f0 = np.empty((size, c))
             if cfg.plugin.p < 1.0:
                 self.mask = np.empty((size, c, d, d), dtype=bool)
+            self.raw, self.fe = np.empty(2 * pairs * size * c), np.empty(2 * pairs * size * c)
+            self.fp, self.fs = np.empty(pairs * size * c), np.empty(d * size * c)
         if "random_scaling" in cfg.inference:
             self.theta_bar = np.empty((size, c, d))
+            self.terms = np.empty(3 * size * c)
 
     def record(self, i, st, g, x, y, u0, f0, h, mask) -> None:
         s = self.steps
@@ -750,7 +759,7 @@ class _StepGroup:
             self.theta_bar[s] = st.theta_bar
 
     def fold(self, st: _ChunkState) -> None:
-        k = self.steps
+        k, c = self.steps, self.c
         steps = np.arange(self.start + 1, self.start + k + 1)
         live = steps[:, None] < st.abort_step  # (k, C)
         st.queries += self.step_queries * (steps[:, None] <= st.abort_step).sum(axis=0)
@@ -759,31 +768,38 @@ class _StepGroup:
         st.n_done = np.minimum(self.start, st.abort_step - 1)
         if self.grads is not None:
             # each pair's product once; IEEE multiplication commutes
-            g, (k_end, l_end) = self.grads[:, :k], self.ends
-            st.gram += _step_sum(g[k_end] * g[l_end], 1).T[:, self.pair]
+            gg = _view(self.raw, 2, self.ends.shape[1], k, c)
+            np.take(self.grads[:, :k], self.ends, axis=0, out=gg, mode="clip")
+            st.gram += _step_sum(np.multiply(gg[0], gg[1], out=gg[0]), 1).T[:, self.pair]
             if self.probes:
                 self._fold_probe(st, live[steps % self.cfg.plugin.every == 0])
         if self.theta_bar is not None:
             i = steps.astype(float)
             w_i = (i * i)[:, None]
             p = (self.theta_bar[:k] * self.cfg.w).sum(axis=-1)  # w·θ̄, (k, C)
-            terms = w_i * np.stack([p * p, p, np.ones_like(p)])  # (3, k, C)
-            live_sum = _step_sum(_live_only(terms, live), 1)
+            terms = _view(self.terms, 3, k, c)
+            terms[0], terms[1], terms[2] = p * p, p, 1.0
+            np.multiply(w_i, terms, out=terms)
+            np.copyto(terms, 0.0, where=~live)  # a stopped row adds nothing
+            live_sum = _step_sum(terms, 1)
             st.sc, st.sc_c = kahan_add(st.sc, st.sc_c, live_sum.T)
 
     def _fold_probe(self, st: _ChunkState, live: np.ndarray) -> None:
         """Four-point curvature of the group's q probe steps; ``live`` is (q, C)."""
         q, self.probes = self.probes, 0
         oracle, plugin, ends = self.oracle, self.cfg.plugin, self.ends
-        d = len(self.pair)
+        d, pairs, c = len(self.pair), ends.shape[1], self.c
         h, xt, y, u0 = self.h[:q], self.x[:, :q], self.y[:q], self.u0[:q]
         f0 = oracle.linpred_loss(u0, y) if self.f0 is None else self.f0[:q]
-        fs = oracle.linpred_loss(u0 + h * xt, y)  # (d, q, C)
-        fp = _pair_losses(oracle, u0, y, xt, h, ends)  # (pairs, q, C)
+        fs = _view(self.fs, d, q, c)  # f(u0 + h·x_k), (d, q, C)
+        oracle.linpred_loss(np.add(u0, np.multiply(h, xt, out=fs), out=fs), y, out=fs)
+        raw, fe = _view(self.raw, 2, pairs, q, c), _view(self.fe, 2, pairs, q, c)
+        fp = _pair_losses(oracle, u0, y, xt, h, ends, raw[0], _view(self.fp, pairs, q, c))
         # the raw block's entry (k, l) on raw[0] and (l, k) on raw[1], each in
-        # its own order of summation
-        fe = fs[ends]
-        raw = (fp - fe - fe[::-1] + f0) / (h * h)
+        # its own order of summation: (fp - fe - fe[::-1] + f0) / h²
+        np.take(fs, ends, axis=0, out=fe, mode="clip")
+        np.subtract(np.subtract(fp, fe, out=raw), fe[::-1], out=raw)
+        np.divide(np.add(raw, f0, out=raw), h * h, out=raw)
         sampled = d * d
         if self.mask is not None:
             sampled = self.mask[:q].sum(axis=(2, 3))
@@ -798,33 +814,12 @@ class _StepGroup:
                     )
                     prev = np.where(live[j], raw[:, :, j], prev)
                 st.hess_prev[:, ends, ends[::-1]] = np.moveaxis(prev, -1, 0)
-        sym = 0.5 * (raw[0] + raw[1])  # the symmetric part (B + Bᵀ)/2
-        st.hess += _step_sum(_live_only(sym, live), 1).T[:, self.pair]
+        # the symmetric part (B + Bᵀ)/2, over the spent fe
+        sym = np.multiply(0.5, np.add(raw[0], raw[1], out=fe[0]), out=fe[0])
+        np.copyto(sym, 0.0, where=~live)
+        st.hess += _step_sum(sym, 1).T[:, self.pair]
         st.hess_count += live.sum(axis=0)
         st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)
-
-
-@functools.cache
-def _heap_for_temporaries() -> None:
-    """Have glibc's malloc serve the engine's temporaries from its heap.
-
-    A step group's fold makes a few dozen temporaries of a few hundred KB.
-    Above glibc's default 128 KB mmap threshold each is a fresh mapping
-    whose pages fault in on first touch: 0.7-1M minor faults and 1-1.8 s
-    of system time in a d = 5 or d = 20 perfbench-sized run.
-    glibc raises the thresholds by itself only after the process frees a
-    larger mapped block, which made the engine's speed depend on what the
-    process had allocated before. This sets them to the ceiling of glibc's
-    own rule (mmap above 32 MiB, trim above 64 MiB), once per process. It
-    changes where arrays live, never a value. A no-op where the C library
-    has no ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
 
 
 class _DenseDirections:
@@ -884,7 +879,6 @@ def _run_chunk(
     c_norm: float,
     block: int = 1024,
 ) -> tuple[list[ReplicationRecord], list[ReplicationRecord], "_ChunkState"]:
-    _heap_for_temporaries()
     oracle = models.LossOracle(cfg.model)
     dist, mode, sched = cfg.dist, cfg.mode, cfg.sched
     m, c = cfg.mode.m, len(rep_indices)

@@ -1,5 +1,4 @@
 import concurrent.futures
-import ctypes
 import dataclasses
 import functools
 import itertools
@@ -9,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -571,7 +571,8 @@ def test_pair_losses_match_dense_probe(family, d):
         u0[:, None, None] + h * (x[:, :, None] + x[:, None, :]), y[:, None, None]
     )
     ends, pair = sh._pair_index(d)
-    got = sh._pair_losses(oracle, u0, y, x.T, h, ends)  # (pairs, c)
+    lin, got = np.empty((2, ends.shape[1], c))
+    sh._pair_losses(oracle, u0, y, x.T, h, ends, lin, got)  # (pairs, c)
     assert np.array_equal(got.T[:, pair], dense)
 
 
@@ -705,18 +706,47 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-# The fold's temporaries (a few hundred KB each here) come from malloc's heap
-# in a fresh process too, not from a fresh mapping that faults in every page:
-# with glibc's default thresholds this chunk takes about 29 000 minor faults,
-# with the engine's about 1500.
+# The fold computes into work arrays the step group allocates once per
+# chunk, so a fresh process does not map and fault in a few hundred KB of
+# temporaries per fold: with per-fold temporaries and glibc's default malloc
+# thresholds this chunk took about 29 000 minor faults.
 def test_cold_chunk_does_not_fault_in_its_temporaries():
-    if not hasattr(ctypes.CDLL(None), "mallopt"):
-        pytest.skip("the C library has no mallopt")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", _COLD_CHUNK_FAULTS], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert int(out.stdout) < 10_000
+
+
+# The same work arrays bound what a fold allocates, on any C library: after
+# the first fold of a C = 50 chunk, no fold's traced peak reaches 0.5 MB.
+# With a fresh array per temporary the folds peaked at 2.3-2.4 MB.
+@pytest.mark.parametrize("family, d, n", [("linear", 20, 200), ("logistic", 5, 400)])
+def test_fold_computes_into_its_work_arrays(monkeypatch, family, d, n):
+    cfg = sh.config_from_dict(
+        small_raw(model={"family": family, "dim": d}, n=n, replications=50)
+    )
+    assert cfg.inference == sh.METHODS
+    fold, peaks = sh._StepGroup.fold, []
+
+    def traced_fold(group, st):
+        if not tracemalloc.is_tracing():  # the first fold, then trace the rest
+            fold(group, st)
+            tracemalloc.start()
+            return
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fold(group, st)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(sh._StepGroup, "fold", traced_fold)
+    c_true = sh._oracle_truth(cfg)
+    try:
+        sh._run_chunk(cfg, np.arange(50), c_true, sh.spectral_norm(c_true))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 6
+    assert max(peaks) < 500_000, max(peaks)
 
 
 _run_chunk_unpatched = sh._run_chunk
