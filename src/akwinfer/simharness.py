@@ -894,8 +894,9 @@ def _run_chunk(
 
     tape = None
     all_live = True  # no replication has left the guard; np.where is then a no-op
+    stopped = False  # every replication has left it
     i = 0
-    while i < cfg.n:
+    while i < cfg.n and not stopped:
         size = min(block, cfg.n - i)
         for j, rng in enumerate(rngs):
             drawn = draw_block(rng, oracle, dist, mode, size, mask_p)
@@ -944,7 +945,7 @@ def _run_chunk(
                 st.abort_step[blown] = i
                 theta_new = np.where(act[:, None], theta_new, st.theta)
                 g = np.where(act[:, None], g, 0.0)
-                all_live = False
+                all_live, stopped = False, not act.any()
             st.theta = theta_new
             theta_bar = st.theta_bar + (st.theta - st.theta_bar) / i
             if not all_live:
@@ -952,13 +953,19 @@ def _run_chunk(
             st.theta_bar = theta_bar
             group.record(i, st, g, x, y, u0, f0, h, None if masks is None else masks[:, t])
             at_mark = bool(marks) and i == marks[0]
-            if at_mark or i % group.size == 0 or i == cfg.n:
+            if at_mark or stopped or i % group.size == 0 or i == cfg.n:
                 group.fold(st)
             if at_mark:
                 marks.pop(0)
                 checkpoint_records.extend(
                     _method_records(cfg, st, c_true, c_norm, checkpoint_n=i)
                 )
+            if stopped:
+                break
+    # A stopped chunk's θ̄, n_done, queries and probe counts no longer move,
+    # so its remaining checkpoints read the frozen state, each with its n.
+    for mark in marks:
+        checkpoint_records.extend(_method_records(cfg, st, c_true, c_norm, checkpoint_n=mark))
     return _method_records(cfg, st, c_true, c_norm), checkpoint_records, st
 
 

@@ -1,9 +1,11 @@
 """Print one sha256 over the artifacts of a fixed matrix of small runs.
 
-    python3 tests/artifact_digest.py
+    python3 tests/artifact_digest.py [--files]
 
 A change that must leave every artifact byte-identical prints the same
-digest as its parent commit. The matrix has 379 runs, each at d = 3,
+digest as its parent commit. With ``--files`` the script prints one
+``sha256  relative-path`` line per artifact instead, so that two trees can
+be compared file by file with ``diff``. The matrix has 380 runs, each at d = 3,
 n = 160, 5 replications, a checkpoint at 80 and one worker:
 
 - linear/logistic/quantile × identity/equicorr (rho 0.3) × seven direction
@@ -11,7 +13,9 @@ n = 160, 5 replications, a checkpoint at 80 and one worker:
 - the identity design with plug-in only at p = 0.5 with inherit
   subsampling × the three families, seven laws and two algorithms (42 runs);
 - one linear run whose step size (eta0 = 1e7) makes every replication
-  diverge.
+  diverge;
+- one linear run (eta0 = 2) whose replications leave the guard at five
+  different steps, from 23 to 62, so the chunk stops before its checkpoint.
 
 The digest covers every run's replications.csv, checkpoints.csv,
 summary.json and config.resolved.json, each with its path relative to the
@@ -66,18 +70,31 @@ def configs():
         directions={"kind": "canonical"},
         schedules={"eta0": 1e7, "h0": 1.0},
     )
+    yield dict(
+        BASE,
+        model={"family": "linear", "dim": 3},
+        directions={"kind": "canonical"},
+        schedules={"eta0": 2.0},
+    )
 
 
 def main():
+    per_file = sys.argv[1:] == ["--files"]
+    if sys.argv[1:] and not per_file:
+        sys.exit("usage: artifact_digest.py [--files]")
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
         for raw in configs():
             sh.write_report(sh.run_experiment(sh.config_from_dict(raw), workers=1), out)
         for path in sorted(pathlib.Path(out).rglob("*")):
             if path.is_file():
-                digest.update(str(path.relative_to(out)).encode())
-                digest.update(path.read_bytes())
-    print(digest.hexdigest())
+                name, data = str(path.relative_to(out)), path.read_bytes()
+                if per_file:
+                    print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+                digest.update(name.encode())
+                digest.update(data)
+    if not per_file:
+        print(digest.hexdigest())
 
 
 if __name__ == "__main__":

@@ -665,6 +665,40 @@ def test_records_do_not_depend_on_chunk_split(family, d):
                 assert np.array_equal(value, states0[name]), (case, sizes, name)
 
 
+# A chunk stops once all its replications have left the guard. Every
+# replication of this linear d = 100 run aborts within a few dozen steps, so
+# the chunk draws one tape block per replication, not 98, and finishes in
+# well under a second; each later checkpoint reads the frozen state.
+def test_chunk_stops_once_every_replication_aborts(monkeypatch):
+    cfg = sh.config_from_dict(
+        small_raw(
+            model={"family": "linear", "dim": 100},
+            n=100_000,
+            replications=4,
+            checkpoints=[1_000, 50_000, 100_000],
+        )
+    )
+    draw, sizes = sh.draw_block, []
+
+    def counted_draw(*args):
+        sizes.append(args[4])
+        return draw(*args)
+
+    monkeypatch.setattr(sh, "draw_block", counted_draw)
+    started = time.perf_counter()
+    report = sh.run_experiment(cfg, workers=1)
+    assert time.perf_counter() - started < 10
+    assert report.summary["aborted"] == 4 and report.summary["methods"] == {}
+    assert sizes == [1024] * 4
+    final = [dataclasses.replace(r, n=0) for r in report.records]
+    assert len(final) == 4 * len(sh.METHODS)
+    assert all(r.aborted and r.ci_length is None for r in final)
+    for mark in cfg.checkpoints:
+        rows = [r for r in report.checkpoint_records if r.n == mark]
+        assert [dataclasses.replace(r, n=0) for r in rows] == final, mark
+    assert len(report.checkpoint_records) == len(cfg.checkpoints) * len(final)
+
+
 def test_worker_processes_end_with_the_run():
     cfg = sh.config_from_dict(small_raw(n=50, replications=4))
     sh.run_experiment(cfg, workers=2)
