@@ -31,9 +31,12 @@ into the recurrence: the gradient Gram, the four-point curvature probe
 laid out pair-major as (pairs, steps, C), the three random-scaling sums,
 the queries and n_done. Groups end at absolute step indices (their length
 depends on d and on whether the run records the probe), at checkpoints and
-at n, so the folded sums do not depend on where tape blocks end. Every
-per-step and per-entry expression is the one a step-by-step engine would
-evaluate; only the order of summation over steps differs.
+at n, so the folded sums do not depend on where tape blocks end. The fold
+computes into work arrays allocated once per chunk. Every per-step and
+per-entry expression is the one a step-by-step engine would evaluate;
+only the order of summation over steps differs. A chunk stops once all its
+rows have left the guard: nothing a record reads moves after a row
+aborts, so its remaining checkpoints are written from the frozen state.
 
 This engine is the library's only optimizer. It defines the step-size and
 spacing schedules (``Schedules``) and the divergence rule
