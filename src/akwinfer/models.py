@@ -123,15 +123,13 @@ class LossOracle:
         """Loss as a function of the linear predictor ``u = x^T theta``,
         written into ``out`` if given (which may be ``u`` itself)."""
         family = self.spec.family
-        if out is None:
-            out = np.empty(np.broadcast_shapes(np.shape(u), np.shape(y)))
         if family == "logistic":
             return np.logaddexp(0.0, np.multiply(-y, u, out=out), out=out)
         r = np.subtract(y, u, out=out)
         if family == "linear":
-            return np.multiply(r, r, out=r)
-        below = r < 0.0
-        tau = self.spec.tau
+            return np.multiply(r, r, out=out)
+        # r·(τ − 1) where r < 0, r·τ elsewhere, in place (a 0-d array for scalars)
+        r, below, tau = np.asarray(r), r < 0.0, self.spec.tau
         np.multiply(r, tau - 1.0, out=r, where=below)
         return np.multiply(r, tau, out=r, where=~below)
 
