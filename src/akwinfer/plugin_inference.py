@@ -63,16 +63,19 @@ class ConfidenceInterval:
 
 
 def subsample_block(
-    g: np.ndarray, mask: np.ndarray, p: float, mode: str, prev: np.ndarray
+    g: np.ndarray, mask: np.ndarray, p: float, mode: str, prev: np.ndarray, out=None
 ) -> np.ndarray:
     """Apply the entry-subsampling rule to raw curvature blocks (..., d, d).
 
     ``mode='ipw'`` weights sampled entries by 1/p and zeroes the rest (the
-    analyzed estimator); ``mode='inherit'`` carries unsampled entries over
-    from ``prev``, the previous subsampled block.
+    analyzed estimator), into ``out`` if given (which may be ``g``);
+    ``mode='inherit'`` carries unsampled entries over from ``prev``, the
+    previous subsampled block.
     """
     if mode == "ipw":
-        return np.where(mask, g / p, 0.0)
+        out = np.divide(g, p, out=out)
+        np.copyto(out, 0.0, where=~mask)
+        return out
     return np.where(mask, g, prev)
 
 

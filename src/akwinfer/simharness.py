@@ -808,7 +808,7 @@ class _StepGroup:
             sampled = self.mask[:q].sum(axis=(2, 3))
             mk = self.mask[:q].transpose(2, 3, 0, 1)[ends, ends[::-1]]
             if plugin.subsampling == "ipw":
-                raw = subsample_block(raw, mk, plugin.p, "ipw", None)
+                subsample_block(raw, mk, plugin.p, "ipw", None, out=raw)
             else:  # each block inherits from the one before it
                 prev = np.moveaxis(st.hess_prev[:, ends, ends[::-1]], 0, -1)
                 for j in range(q):

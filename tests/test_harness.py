@@ -753,12 +753,16 @@ def test_cold_chunk_does_not_fault_in_its_temporaries():
 
 
 # The same work arrays bound what a fold allocates, on any C library: after
-# the first fold of a C = 50 chunk, no fold's traced peak reaches 0.5 MB.
-# With a fresh array per temporary the folds peaked at 2.3-2.4 MB.
-@pytest.mark.parametrize("family, d, n", [("linear", 20, 200), ("logistic", 5, 400)])
-def test_fold_computes_into_its_work_arrays(monkeypatch, family, d, n):
+# the first fold of a C = 50 chunk, no fold's traced peak reaches 0.5 MB,
+# with entry subsampling too. With a fresh array per temporary the folds
+# peaked at 2.3-3.1 MB.
+@pytest.mark.parametrize(
+    "family, d, n, plugin",
+    [("linear", 20, 200, {}), ("linear", 20, 200, {"p": 0.5}), ("logistic", 5, 400, {})],
+)
+def test_fold_computes_into_its_work_arrays(monkeypatch, family, d, n, plugin):
     cfg = sh.config_from_dict(
-        small_raw(model={"family": family, "dim": d}, n=n, replications=50)
+        small_raw(model={"family": family, "dim": d}, n=n, replications=50, plugin=plugin)
     )
     assert cfg.inference == sh.METHODS
     fold, peaks = sh._StepGroup.fold, []
