@@ -717,8 +717,9 @@ class _StepGroup:
     a few batched operations. The Gram and the probe are laid out pair-major,
     (pairs, steps, C). A replication is live after step i while
     ``i < abort_step``. The fold computes into flat work arrays allocated
-    once per chunk, through C-contiguous views (``_view``); every expression
-    keeps its operands and their order, so fresh temporaries give its bits.
+    once per chunk, through C-contiguous views (``_view``). Every expression
+    keeps its operands and their order, so the bits are those of fresh
+    temporaries.
     """
 
     def __init__(self, cfg: ExperimentConfig, oracle: models.LossOracle, c: int):

@@ -668,7 +668,7 @@ def test_records_do_not_depend_on_chunk_split(family, d):
 # A chunk stops once all its replications have left the guard. Every
 # replication of this linear d = 100 run aborts within a few dozen steps, so
 # the chunk draws one tape block per replication, not 98, and finishes in
-# well under a second; each later checkpoint reads the frozen state.
+# about a second; each later checkpoint reads the frozen state.
 def test_chunk_stops_once_every_replication_aborts(monkeypatch):
     cfg = sh.config_from_dict(
         small_raw(
