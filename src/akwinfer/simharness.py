@@ -58,6 +58,7 @@ import json
 import math
 import operator
 import os
+import statistics
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -537,14 +538,12 @@ def summarize_records(records: list[ReplicationRecord]) -> dict:
         k = len(rows)
 
         def mean_se(values):
+            # exact rational arithmetic: a constant column's SE is exactly 0
             vals = [v for v in values if v is not None]
             if not vals:
                 return None, None
-            mu = sum(vals) / len(vals)
-            if len(vals) < 2:
-                return mu, 0.0
-            var = sum((v - mu) ** 2 for v in vals) / (len(vals) - 1)
-            return mu, math.sqrt(var / len(vals))
+            se = statistics.stdev(vals) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+            return statistics.mean(vals), se
 
         est_mu, est_se = mean_se(r.est_error for r in rows)
         cov_mu, cov_se = mean_se(r.cov_error for r in rows)

@@ -887,6 +887,24 @@ def test_resolve_workers(monkeypatch):
             sh.resolve_workers(bad)
 
 
+# A column that is the same in every replication has that value as its mean
+# and a standard error of exactly 0. A float sum reads 0.1 over ten rows as
+# 0.09999999999999999, with an SE of 4.6e-18.
+def test_summary_of_a_constant_column_is_exact():
+    records = [
+        sh.ReplicationRecord(
+            run_id="t", replication=j, method="oracle", est_error=0.01 * (j + 1),
+            cov_error=0.0, ci_center=0.5, ci_length=0.1, covered=1, queries=20,
+            aborted=0,
+        )
+        for j in range(10)
+    ]
+    oracle = sh.summarize_records(records)["methods"]["oracle"]
+    assert oracle["ci_length_mean"] == 0.1 and oracle["ci_length_se"] == 0.0
+    assert oracle["cov_error_mean"] == 0.0 and oracle["cov_error_se"] == 0.0
+    assert oracle["est_error_se"] > 0.0
+
+
 # The second config trips the divergence guard, so its files hold empty
 # cells for the None columns of the aborted rows.
 def test_write_and_read_report_round_trip(tmp_path):
