@@ -1,9 +1,9 @@
 """Online plug-in covariance estimation and normal-quantile intervals.
 
 The replication engine estimates curvature from four-point finite
-differences along canonical coordinate pairs, optionally with Bernoulli
-entry subsampling (``subsample_block``) weighted by 1/p so the running mean
-stays unbiased. The gradient-noise matrix is the running mean of the outer
+differences along canonical coordinate pairs. With ``plugin.p < 1`` each
+entry is kept with probability p and weighted by 1/p (``subsample_block``),
+so the running mean stays unbiased. The gradient-noise matrix is the running mean of the outer
 products of the gradients the optimizer already used, so it costs no extra
 queries. This module turns the two means into a sandwich covariance and
 normal-quantile intervals.
@@ -62,21 +62,13 @@ class ConfidenceInterval:
         return abs(value - self.center) <= self.half_width
 
 
-def subsample_block(
-    g: np.ndarray, mask: np.ndarray, p: float, mode: str, prev: np.ndarray, out=None
-) -> np.ndarray:
-    """Apply the entry-subsampling rule to raw curvature blocks (..., d, d).
-
-    ``mode='ipw'`` weights sampled entries by 1/p and zeroes the rest (the
-    analyzed estimator), into ``out`` if given (which may be ``g``);
-    ``mode='inherit'`` carries unsampled entries over from ``prev``, the
-    previous subsampled block.
-    """
-    if mode == "ipw":
-        out = np.divide(g, p, out=out)
-        np.copyto(out, 0.0, where=~mask)
-        return out
-    return np.where(mask, g, prev)
+def subsample_block(g: np.ndarray, mask: np.ndarray, p: float, out=None) -> np.ndarray:
+    """Weight the sampled entries of raw curvature blocks (..., d, d) by 1/p
+    and zero the rest, into ``out`` if given (which may be ``g``): the
+    analyzed estimator, whose running mean stays unbiased."""
+    out = np.divide(g, p, out=out)
+    np.copyto(out, 0.0, where=~mask)
+    return out
 
 
 def plugin_covariance(h_mean: np.ndarray, g_mean: np.ndarray, kappa1: float) -> np.ndarray:

@@ -42,7 +42,7 @@ This engine is the library's only optimizer. It defines the step-size and
 spacing schedules (``Schedules``) and the divergence rule
 (``within_guard``), and calls the library for the rest: directions come
 from ``directions.draw_directions``, exact gradients from
-``LossOracle.linpred_grad``, the curvature subsampling from
+``LossOracle.linpred_grad``, the probe's 1/p-weighted entry sample from
 ``plugin_inference.subsample_block`` and the random-scaling sums from
 ``random_scaling.kahan_add``. The random-scaling sums are kept for the
 scalar w·θ̄ only and the gradient Gram only for plug-in runs; records are
@@ -148,7 +148,6 @@ class Schedules:
 class PluginSettings:
     p: float = 1.0
     kappa1: float = 1e-3
-    subsampling: str = "ipw"
     every: int = 1
 
     def __post_init__(self):
@@ -156,8 +155,6 @@ class PluginSettings:
             raise ValueError("plugin.p must lie in (0, 1]")
         if self.kappa1 <= 0.0:
             raise ValueError("plugin.kappa1 must be positive")
-        if self.subsampling not in ("ipw", "inherit"):
-            raise ValueError("plugin.subsampling must be 'ipw' or 'inherit'")
         if self.every < 1:
             raise ValueError("plugin.every must be a positive integer")
 
@@ -590,7 +587,6 @@ class _ChunkState:
         self.queries = np.zeros(c, dtype=np.int64)
         self.gram = np.zeros((c, d, d))
         self.hess = np.zeros((c, d, d))
-        self.hess_prev = np.zeros((c, d, d))
         self.hess_count = np.zeros(c, dtype=np.int64)
         # the random-scaling sums of i²(w·θ̄)², i²(w·θ̄) and i² in columns
         # a, b, s, and their Kahan compensations
@@ -807,16 +803,7 @@ class _StepGroup:
         if self.mask is not None:
             sampled = self.mask[:q].sum(axis=(2, 3))
             mk = self.mask[:q].transpose(2, 3, 0, 1)[ends, ends[::-1]]
-            if plugin.subsampling == "ipw":
-                subsample_block(raw, mk, plugin.p, "ipw", None, out=raw)
-            else:  # each block inherits from the one before it
-                prev = np.moveaxis(st.hess_prev[:, ends, ends[::-1]], 0, -1)
-                for j in range(q):
-                    raw[:, :, j] = subsample_block(
-                        raw[:, :, j], mk[:, :, j], plugin.p, "inherit", prev
-                    )
-                    prev = np.where(live[j], raw[:, :, j], prev)
-                st.hess_prev[:, ends, ends[::-1]] = np.moveaxis(prev, -1, 0)
+            subsample_block(raw, mk, plugin.p, out=raw)
         # the symmetric part (B + Bᵀ)/2, over the spent fe
         sym = np.multiply(0.5, np.add(raw[0], raw[1], out=fe[0]), out=fe[0])
         np.copyto(sym, 0.0, where=~live)

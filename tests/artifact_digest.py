@@ -4,14 +4,17 @@
 
 A change that must leave every artifact byte-identical prints the same
 digest as its parent commit. With ``--files`` the script prints one
-``sha256  relative-path`` line per artifact instead, so that two trees can
-be compared file by file with ``diff``. The matrix has 380 runs, each at d = 3,
-n = 160, 5 replications, a checkpoint at 80 and one worker:
+``sha256  index/file`` line per artifact instead, where index is the run's
+position in the matrix and the hash is taken with the run id and the config
+hash replaced by fixed tokens. Two trees can then be compared file by file
+with ``diff``, also across a change that moves every config hash. The
+matrix has 380 runs, each at d = 3, n = 160, 5 replications, a checkpoint at
+80 and one worker:
 
 - linear/logistic/quantile × identity/equicorr (rho 0.3) × seven direction
   laws × four inference sets × akw/rm (336 runs);
-- the identity design with plug-in only at p = 0.5 with inherit
-  subsampling × the three families, seven laws and two algorithms (42 runs);
+- the identity design with plug-in only at p = 0.5 × the three families,
+  seven laws and two algorithms (42 runs);
 - one linear run whose step size (eta0 = 1e7) makes every replication
   diverge;
 - one linear run (eta0 = 2) whose replications leave the guard at five
@@ -19,7 +22,7 @@ n = 160, 5 replications, a checkpoint at 80 and one worker:
 
 The digest covers every run's replications.csv, checkpoints.csv,
 summary.json and config.resolved.json, each with its path relative to the
-output directory, in sorted order. pytest does not collect this script.
+output directory, in sorted order, over its raw bytes. pytest does not collect this script.
 """
 
 import hashlib
@@ -49,7 +52,7 @@ INFERENCE = (
     {"inference": ["random_scaling", "oracle"]},
     {"inference": list(sh.METHODS), "plugin": {"every": 2}},
 )
-INHERIT = {"inference": ["plugin"], "plugin": {"p": 0.5, "subsampling": "inherit"}}
+HALF = {"inference": ["plugin"], "plugin": {"p": 0.5}}
 BASE = {"name": "digest", "n": 160, "replications": 5, "seed": 3, "checkpoints": [80]}
 
 
@@ -63,7 +66,7 @@ def configs():
         models.FAMILIES, DIRECTIONS, sh.ALGORITHMS
     ):
         model = {"family": family, "dim": 3}
-        yield dict(BASE, model=model, directions=directions, algorithm=algorithm, **INHERIT)
+        yield dict(BASE, model=model, directions=directions, algorithm=algorithm, **HALF)
     yield dict(
         BASE,
         model={"family": "linear", "dim": 3},
@@ -78,21 +81,28 @@ def configs():
     )
 
 
+def masked(data: bytes, report) -> bytes:
+    """``data`` with the run id and the config hash replaced by fixed tokens."""
+    data = data.replace(report.config.config_hash.encode(), b"<config-hash>")
+    return data.replace(report.run_id.encode(), b"<run-id>")
+
+
 def main():
     per_file = sys.argv[1:] == ["--files"]
     if sys.argv[1:] and not per_file:
         sys.exit("usage: artifact_digest.py [--files]")
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
-        for raw in configs():
-            sh.write_report(sh.run_experiment(sh.config_from_dict(raw), workers=1), out)
+        for index, raw in enumerate(configs()):
+            report = sh.run_experiment(sh.config_from_dict(raw), workers=1)
+            run_dir = pathlib.Path(sh.write_report(report, out))
+            for path in sorted(run_dir.iterdir()) if per_file else ():
+                data = masked(path.read_bytes(), report)
+                print(f"{hashlib.sha256(data).hexdigest()}  {index:03d}/{path.name}")
         for path in sorted(pathlib.Path(out).rglob("*")):
             if path.is_file():
-                name, data = str(path.relative_to(out)), path.read_bytes()
-                if per_file:
-                    print(f"{hashlib.sha256(data).hexdigest()}  {name}")
-                digest.update(name.encode())
-                digest.update(data)
+                digest.update(str(path.relative_to(out)).encode())
+                digest.update(path.read_bytes())
     if not per_file:
         print(digest.hexdigest())
 

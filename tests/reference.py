@@ -183,20 +183,18 @@ def hessian_entry_block(oracle, theta, zeta, h, rng=None, p=1.0):
 
 class HessianAccumulator:
     """Running sum of symmetrized curvature blocks, subsampled by
-    ``plugin_inference.subsample_block`` in mode ``ipw`` or ``inherit``."""
+    ``plugin_inference.subsample_block``."""
 
-    def __init__(self, dim, p=1.0, mode="ipw"):
+    def __init__(self, dim, p=1.0):
         if not 0.0 < p <= 1.0:
             raise ValueError("entry-update probability must lie in (0, 1]")
-        if mode not in ("ipw", "inherit"):
-            raise ValueError("mode must be 'ipw' or 'inherit'")
-        self.p, self.mode, self.count = p, mode, 0
+        self.p, self.count = p, 0
         self.running_sum = np.zeros((dim, dim))
-        self.prev = np.zeros((dim, dim))  # the last subsampled block
+        self.block = np.zeros((dim, dim))  # the last subsampled block
 
     def accumulate_block(self, g, mask):
-        self.prev = subsample_block(g, mask, self.p, self.mode, self.prev)
-        self.running_sum += 0.5 * (self.prev + self.prev.T)
+        self.block = subsample_block(g, mask, self.p)
+        self.running_sum += 0.5 * (self.block + self.block.T)
         self.count += 1
 
     def update(self, oracle, theta, zeta, h, rng=None):

@@ -65,6 +65,12 @@ def test_parse_config_unknown_top_level_key():
     assert cfg is None and any("unknown key 'extra'" in d for d in diags)
 
 
+def test_plugin_subsampling_is_an_unknown_key():
+    cfg, diags = sh.parse_config(small_raw(plugin={"subsampling": "ipw"}))
+    assert cfg is None and len(diags) == 1
+    assert diags[0].startswith("plugin: unknown key 'subsampling'")
+
+
 def test_parse_config_theta_dim_contradiction_and_dim_seed():
     cfg, diags = sh.parse_config(
         small_raw(model={"family": "linear", "theta": [1.0, 0.0], "dim": 3})
@@ -210,10 +216,10 @@ PINNED_CONFIGS = [
             "level": 0.95,
             "w": [0.7071067811865475, 0.7071067811865475],
             "inference": ["plugin", "random_scaling", "oracle"],
-            "plugin": {"p": 1.0, "kappa1": 0.001, "subsampling": "ipw", "every": 1},
+            "plugin": {"p": 1.0, "kappa1": 0.001, "every": 1},
             "checkpoints": [],
         },
-        "f1a4a441e86a6ad5d9352a6dcebdcdfc9e85025781c03c62317da6a05e6d7739",
+        "840e2e211572f5ed6e163c8e941d0dd8568b1528fea8a8f6f2d15523c627127e",
     ),
     (
         {
@@ -224,7 +230,7 @@ PINNED_CONFIGS = [
             "directions": {"kind": "orthonormal", "m": 2, "replacement": "without",
                            "basis_seed": 3},
             "schedules": {"eta0": 0.05, "alpha": 0.6, "h0": 0.2, "gamma": 0.8},
-            "plugin": {"p": 0.5, "kappa1": 0.01, "subsampling": "inherit", "every": 3},
+            "plugin": {"p": 0.5, "kappa1": 0.01, "every": 3},
             "n": 500,
             "replications": 7,
             "seed": 9,
@@ -253,10 +259,10 @@ PINNED_CONFIGS = [
             "level": 0.9,
             "w": [1.0, 2.0],
             "inference": ["random_scaling", "oracle"],
-            "plugin": {"p": 0.5, "kappa1": 0.01, "subsampling": "inherit", "every": 3},
+            "plugin": {"p": 0.5, "kappa1": 0.01, "every": 3},
             "checkpoints": [100, 400],
         },
-        "4806f2d38612145473afb72093bb1afb24604c28990b41f33c9802d072f237ea",
+        "cd87d8c1c698a7ba0283a191e38f52249e6ffac4f5d2d7547371504b42614308",
     ),
 ]
 
@@ -429,9 +435,8 @@ def test_projected_scaling_interval_matches_full_matrix(w):
     [
         pytest.param({"p": 1.0}, id="1.0"),
         pytest.param({"p": 0.5}, id="0.5"),
-        pytest.param({"p": 0.5, "subsampling": "inherit"}, id="0.5-inherit"),
         pytest.param({"p": 1.0, "every": 3}, id="1.0-every3"),
-        pytest.param({"p": 0.5, "subsampling": "inherit", "every": 3}, id="0.5-inherit-every3"),
+        pytest.param({"p": 0.5, "every": 3}, id="0.5-every3"),
     ],
 )
 def test_vectorized_curvature_matches_scalar_replay(monkeypatch, family, plugin):
@@ -452,14 +457,14 @@ def test_vectorized_curvature_matches_scalar_replay(monkeypatch, family, plugin)
         if mask is None:
             mask = np.ones((cfg.n, d, d), dtype=bool)
         state = kw.KwRunState.initial(d)
-        acc = HessianAccumulator(dim=d, p=p, mode=cfg.plugin.subsampling)
+        acc = HessianAccumulator(dim=d, p=p)
         terms, probe_queries = [], 0
         for i in range(cfg.n):
             zeta = (x[i], y[i])
             if (i + 1) % cfg.plugin.every == 0:
                 g, _, _ = hessian_entry_block(oracle, state.theta, zeta, cfg.sched.h(i + 1))
                 acc.accumulate_block(np.where(mask[i], g, 0.0), mask[i])
-                terms.append(0.5 * (acc.prev + acc.prev.T))
+                terms.append(0.5 * (acc.block + acc.block.T))
                 probe_queries += 1 + 2 * d + int(mask[i].sum())
             kw.step(
                 state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
@@ -609,7 +614,6 @@ SPLIT_DIRECTIONS = {
 SPLIT_PLUGINS = {
     "1.0": {"p": 1.0},
     "0.5-ipw": {"p": 0.5},
-    "0.5-inherit": {"p": 0.5, "subsampling": "inherit"},
 }
 SPLITS = ([6], [3, 3], [2, 1, 3], [1] * 6)
 

@@ -120,25 +120,9 @@ def test_ipw_subsampling_unbiased():
     assert np.abs(acc.mean() - 2 * a).max() < 0.03 * np.abs(2 * a).max()
 
 
-def test_inherit_mode_fills_from_previous_block():
-    oracle = QuadraticOracle(np.diag([1.0, 2.0]))
-    acc = HessianAccumulator(dim=2, p=0.5, mode="inherit")
-    g1 = np.array([[3.0, 1.0], [1.0, 5.0]])
-    acc.accumulate_block(g1, np.ones((2, 2), bool))
-    # second block only sampled entry (0,0); the rest carries over from g1
-    g2 = np.array([[7.0, 0.0], [0.0, 0.0]])
-    mask2 = np.zeros((2, 2), bool)
-    mask2[0, 0] = True
-    acc.accumulate_block(g2, mask2)
-    expect = (g1 + np.array([[7.0, 1.0], [1.0, 5.0]])) / 2
-    assert np.allclose(acc.mean(), expect)
-
-
 def test_accumulator_validation():
     with pytest.raises(ValueError):
         HessianAccumulator(dim=2, p=0.0)
-    with pytest.raises(ValueError):
-        HessianAccumulator(dim=2, mode="drop")
     with pytest.raises(ValueError):
         HessianAccumulator(dim=2).mean()
 
