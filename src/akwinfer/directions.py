@@ -41,16 +41,11 @@ COORDINATE_KINDS = ("canonical", "nonuniform")
 
 
 def random_orthonormal(dim: int, seed: int) -> np.ndarray:
-    """Random orthonormal basis: modified Gram-Schmidt of a seeded Gaussian."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim))
-    q = np.empty_like(g)
-    for k in range(dim):
-        v = g[:, k]
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            v = v - q[:, :k] @ (q[:, :k].T @ v)
-        q[:, k] = v / np.sqrt((v * v).sum())
-    return q
+    """Random orthonormal basis: the Q factor of a seeded Gaussian matrix,
+    its columns' signs fixed so that R has a positive diagonal."""
+    g = np.random.default_rng(seed).standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r))
 
 
 @dataclass(frozen=True)

@@ -248,8 +248,8 @@ PINNED_CONFIGS = [
                 "kind": "orthonormal",
                 "m": 2,
                 "replacement": "without",
-                "basis": [[0.9796547518153702, 0.20069022708035725],
-                          [0.20069022708035722, -0.9796547518153702]],
+                "basis": [[0.9796547518153702, 0.2006902270803572],
+                          [0.2006902270803572, -0.9796547518153702]],
                 "p": None,
             },
             "schedules": {"eta0": 0.05, "alpha": 0.6, "h0": 0.2, "gamma": 0.8},
@@ -262,7 +262,7 @@ PINNED_CONFIGS = [
             "plugin": {"p": 0.5, "kappa1": 0.01, "every": 3},
             "checkpoints": [100, 400],
         },
-        "cd87d8c1c698a7ba0283a191e38f52249e6ffac4f5d2d7547371504b42614308",
+        "738f62ec059a337e53e6626c812191d4cc112b37304cfe2c627fd38d1056ef1b",
     ),
 ]
 
