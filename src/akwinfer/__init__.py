@@ -6,12 +6,12 @@ Modules: ``numkernel`` (dense symmetric linear algebra), ``directions``
 ``plugin_inference`` and ``random_scaling`` (two online
 confidence-interval constructions), ``simharness`` (the optimizer: a
 Monte-Carlo replication engine with its schedules, divergence rule,
-configs and reports), ``recipes`` (frozen experiment configs), ``cli``
-(command line).
+configs and reports), ``recipes`` (frozen experiment configs) and ``cli``
+(the ``akw`` command line, also run as ``python -m akwinfer.cli``; the
+package does not import it).
 """
 
 from . import (  # noqa: F401
-    cli,
     directions,
     models,
     numkernel,

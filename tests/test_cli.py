@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,3 +178,15 @@ def test_run_exits_2_when_every_replication_aborts_without_records(tmp_path, cap
     captured = capsys.readouterr()
     assert json.loads(captured.out)["aborted"] == 4
     assert "every replication aborted" in captured.err
+
+
+# The package does not import cli, so running it as a module does not warn
+# that akwinfer.cli was already in sys.modules.
+def test_module_entry_point_runs_without_warning():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "akwinfer.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "usage:" in out.stdout
