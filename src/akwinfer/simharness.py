@@ -786,7 +786,7 @@ class _StepGroup:
     def _fold_probe(self, st: _ChunkState, live: np.ndarray) -> None:
         """Four-point curvature of the group's q probe steps; ``live`` is (q, C)."""
         q, self.probes = self.probes, 0
-        oracle, plugin, ends = self.oracle, self.cfg.plugin, self.ends
+        oracle, ends = self.oracle, self.ends
         d, pairs, c = len(self.pair), ends.shape[1], self.c
         h, xt, y, u0 = self.h[:q], self.x[:, :q], self.y[:q], self.u0[:q]
         f0 = oracle.linpred_loss(u0, y) if self.f0 is None else self.f0[:q]
@@ -803,7 +803,7 @@ class _StepGroup:
         if self.mask is not None:
             sampled = self.mask[:q].sum(axis=(2, 3))
             mk = self.mask[:q].transpose(2, 3, 0, 1)[ends, ends[::-1]]
-            subsample_block(raw, mk, plugin.p, out=raw)
+            subsample_block(raw, mk, self.cfg.plugin.p, out=raw)
         # the symmetric part (B + Bᵀ)/2, over the spent fe
         sym = np.multiply(0.5, np.add(raw[0], raw[1], out=fe[0]), out=fe[0])
         np.copyto(sym, 0.0, where=~live)

@@ -91,20 +91,21 @@ def main():
     per_file = sys.argv[1:] == ["--files"]
     if sys.argv[1:] and not per_file:
         sys.exit("usage: artifact_digest.py [--files]")
-    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
         for index, raw in enumerate(configs()):
             report = sh.run_experiment(sh.config_from_dict(raw), workers=1)
             run_dir = pathlib.Path(sh.write_report(report, out))
-            for path in sorted(run_dir.iterdir()) if per_file else ():
-                data = masked(path.read_bytes(), report)
-                print(f"{hashlib.sha256(data).hexdigest()}  {index:03d}/{path.name}")
-        for path in sorted(pathlib.Path(out).rglob("*")):
-            if path.is_file():
-                digest.update(str(path.relative_to(out)).encode())
-                digest.update(path.read_bytes())
-    if not per_file:
-        print(digest.hexdigest())
+            if per_file:
+                for path in sorted(run_dir.iterdir()):
+                    data = masked(path.read_bytes(), report)
+                    print(f"{hashlib.sha256(data).hexdigest()}  {index:03d}/{path.name}")
+        if not per_file:
+            digest = hashlib.sha256()
+            for path in sorted(pathlib.Path(out).rglob("*")):
+                if path.is_file():
+                    digest.update(str(path.relative_to(out)).encode())
+                    digest.update(path.read_bytes())
+            print(digest.hexdigest())
 
 
 if __name__ == "__main__":
