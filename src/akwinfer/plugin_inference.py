@@ -3,10 +3,10 @@
 The replication engine estimates curvature from four-point finite
 differences along canonical coordinate pairs. With ``plugin.p < 1`` each
 entry is kept with probability p and weighted by 1/p (``subsample_block``),
-so the running mean stays unbiased. The gradient-noise matrix is the running mean of the outer
-products of the gradients the optimizer already used, so it costs no extra
-queries. This module turns the two means into a sandwich covariance and
-normal-quantile intervals.
+so the running mean stays unbiased. The gradient-noise matrix is the
+running mean of the outer products of the gradients the optimizer already
+used, so it costs no extra queries. This module turns the two means into a
+sandwich covariance and normal-quantile intervals.
 """
 
 from __future__ import annotations

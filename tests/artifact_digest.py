@@ -20,9 +20,10 @@ matrix has 380 runs, each at d = 3, n = 160, 5 replications, a checkpoint at
 - one linear run (eta0 = 2) whose replications leave the guard at five
   different steps, from 23 to 62, so the chunk stops before its checkpoint.
 
-The digest covers every run's replications.csv, checkpoints.csv,
-summary.json and config.resolved.json, each with its path relative to the
-output directory, in sorted order, over its raw bytes. pytest does not collect this script.
+The digest covers the raw bytes of every run's replications.csv,
+checkpoints.csv, summary.json and config.resolved.json, each with its path
+relative to the output directory, in sorted order. pytest does not collect
+this script.
 """
 
 import hashlib
