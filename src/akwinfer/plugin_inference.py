@@ -6,7 +6,8 @@ entry is kept with probability p and weighted by 1/p (``subsample_block``),
 so the running mean stays unbiased. The gradient-noise matrix is the
 running mean of the outer products of the gradients the optimizer already
 used, so it costs no extra queries. This module turns the two means into a
-sandwich covariance and normal-quantile intervals.
+sandwich covariance, and holds ``interval``, the w^T theta_bar +/-
+c * sqrt(w^T V w / n) that both constructions share with their own V and c.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "ConfidenceInterval",
     "subsample_block",
     "plugin_covariance",
+    "interval",
     "plugin_ci",
     "z_quantile",
 ]
@@ -46,9 +48,6 @@ def z_quantile(level: float) -> float:
 class ConfidenceInterval:
     center: float
     half_width: float
-    level: float
-    method: str
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.half_width < 0.0:
@@ -80,6 +79,23 @@ def plugin_covariance(h_mean: np.ndarray, g_mean: np.ndarray, kappa1: float) -> 
     return sandwich(0.5 * (h_inv + h_inv.T), symmetrize(g_mean, rtol=1e-8))
 
 
+def interval(
+    theta_bar: np.ndarray, v: np.ndarray, w: np.ndarray, n: int, critical: float
+) -> ConfidenceInterval:
+    """The interval w^T theta_bar +/- critical * sqrt(w^T V w / n) that both
+    constructions share; they differ only in V and the critical value."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    w = check_finite(w, "projection vector")
+    var = float(w @ v @ w)
+    if var < -1e-10:
+        raise LinAlgError(f"projected variance is negative ({var:.3e})")
+    var = max(var, 0.0)
+    return ConfidenceInterval(
+        center=float(w @ theta_bar), half_width=float(critical * np.sqrt(var / n))
+    )
+
+
 def plugin_ci(
     theta_bar: np.ndarray,
     cov: np.ndarray,
@@ -88,20 +104,4 @@ def plugin_ci(
     level: float = 0.95,
 ) -> ConfidenceInterval:
     """Normal-quantile interval for ``w^T theta`` from a covariance estimate."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    w = check_finite(w, "projection vector")
-    var = float(w @ cov @ w)
-    if var < -1e-10:
-        raise LinAlgError(
-            f"projected variance is negative ({var:.3e}); accumulator corrupted"
-        )
-    var = max(var, 0.0)
-    half = z_quantile(level) * np.sqrt(var / n)
-    return ConfidenceInterval(
-        center=float(w @ theta_bar),
-        half_width=float(half),
-        level=level,
-        method="plugin",
-        degenerate=var == 0.0,
-    )
+    return interval(theta_bar, cov, w, n, z_quantile(level))

@@ -4,19 +4,19 @@ Assembles
 
     V_n = (1/n^2) sum_i i^2 (theta_bar_i - theta_bar_n)(theta_bar_i - theta_bar_n)^T
 
-from its running pieces, summed online with ``kahan_add``, and builds
-studentized intervals from the tabulated quantiles of the limiting pivot
-W(1)/sqrt(int_0^1 (W(r) - r W(1))^2 dr). An interval for w^T theta reads
-only w^T V_n w, so the replication engine keeps these sums for the scalar
-w^T theta_bar_i and calls ``assemble_v`` with d = 1.
+from its running pieces, summed online with ``kahan_add``, and passes it
+to ``plugin_inference.interval`` with a tabulated quantile of the limiting
+pivot W(1)/sqrt(int_0^1 (W(r) - r W(1))^2 dr). An interval for w^T theta
+reads only w^T V_n w, so the replication engine keeps these sums for the
+scalar w^T theta_bar_i and calls ``assemble_v`` with d = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numkernel import LinAlgError, check_finite, symmetrize
-from .plugin_inference import ConfidenceInterval
+from .numkernel import symmetrize
+from .plugin_inference import ConfidenceInterval, interval
 
 __all__ = [
     "ONE_SIDED_QUANTILES",
@@ -83,21 +83,7 @@ def scaling_ci(
 ) -> ConfidenceInterval:
     """Studentized interval w^T theta_bar +/- cv * sqrt(w^T V w / n), with
     ``cv = critical_value(level)``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    cv = critical_value(level)
-    w = check_finite(w, "projection vector")
-    var = float(w @ v @ w)
-    if var < -1e-10:
-        raise LinAlgError(f"projected scaling variance is negative ({var:.3e})")
-    var = max(var, 0.0)
-    return ConfidenceInterval(
-        center=float(w @ theta_bar),
-        half_width=float(cv * np.sqrt(var / n)),
-        level=level,
-        method="random_scaling",
-        degenerate=var == 0.0,
-    )
+    return interval(theta_bar, v, w, n, critical_value(level))
 
 
 def simulate_pivot_quantiles(
