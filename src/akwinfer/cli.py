@@ -111,9 +111,8 @@ def _build_config(raw: dict, args) -> simharness.ExperimentConfig:
 
 def _execute(cfgs: list[simharness.ExperimentConfig], args) -> int:
     workers = simharness.resolve_workers(args.workers)
-    reports = simharness.sweep(cfgs, workers=workers)
     status = 0
-    for report in reports:
+    for report in simharness.sweep(cfgs, workers=workers):
         run_dir = simharness.write_report(report, args.output_dir)
         print(json.dumps(report.summary, indent=2, sort_keys=True))
         print(f"wrote {run_dir}", file=sys.stderr)

@@ -7,6 +7,8 @@ recipes). Names ending in ``-d20`` or ``-d100`` are long-running
 
 from __future__ import annotations
 
+import copy
+
 __all__ = ["RECIPES", "LONG_RUNNING", "recipe_names", "get_recipe"]
 
 
@@ -136,7 +138,7 @@ def recipe_names() -> list[str]:
 
 def get_recipe(name: str) -> dict | list[dict]:
     try:
-        return RECIPES[name]
+        return copy.deepcopy(RECIPES[name])
     except KeyError:
         known = ", ".join(recipe_names())
         raise KeyError(f"unknown recipe {name!r}; known recipes: {known}") from None

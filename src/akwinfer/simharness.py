@@ -60,6 +60,7 @@ import operator
 import os
 import statistics
 import tempfile
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -1084,13 +1085,14 @@ def run_experiment(
     )
 
 
-def sweep(cfgs: list[ExperimentConfig], workers: int | None = None) -> list[ExperimentReport]:
-    """Run a list of configs; run ids must be unique."""
+def sweep(cfgs: list[ExperimentConfig], workers: int | None = None) -> Iterator[ExperimentReport]:
+    """Check that the run ids are unique, then return an iterator that runs
+    each config when its report is asked for."""
     ids = [c.run_id for c in cfgs]
     dupes = {i for i in ids if ids.count(i) > 1}
     if dupes:
         raise ConfigError(f"duplicate run ids in sweep: {sorted(dupes)}")
-    return [run_experiment(c, workers) for c in cfgs]
+    return (run_experiment(c, workers) for c in cfgs)
 
 
 # -- file output ----------------------------------------------------------

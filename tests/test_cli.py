@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from akwinfer import recipes
+from akwinfer import recipes, simharness
 from akwinfer.cli import _parse_override, build_parser, main
 
 
@@ -96,6 +97,24 @@ def test_sweep_runs_list(tmp_path, capsys):
     assert main(["sweep", "--config", single]) == 1
 
 
+def test_sweep_writes_each_report_as_its_run_ends(tmp_path, monkeypatch, capsys):
+    run = simharness.run_experiment
+
+    def second_run_fails(cfg, workers=None):
+        if cfg.seed == 6:
+            raise RuntimeError("second run fails")
+        return run(cfg, workers)
+
+    monkeypatch.setattr(simharness, "run_experiment", second_run_fails)
+    path = write_config(tmp_path, [CONFIG, {**CONFIG, "seed": 6}])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--output-dir", str(out)]) == 2
+    assert "runtime abort: second run fails" in capsys.readouterr().err
+    (run_dir,) = os.listdir(out)
+    files = sorted(os.listdir(out / run_dir))
+    assert files == ["config.resolved.json", "replications.csv", "summary.json"]
+
+
 def test_recipe_list_and_unknown(capsys):
     assert main(["recipe", "--list"]) == 0
     listed = capsys.readouterr().out.splitlines()
@@ -113,6 +132,18 @@ def test_recipe_runs_with_shrinking_overrides(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["n"] == 200 and summary["replications"] == 3
+
+
+def test_overrides_leave_recipes_unchanged(tmp_path, capsys):
+    name = "table2-linear-identity-d5"
+    before = copy.deepcopy(recipes.get_recipe(name))
+    rc = main([
+        "recipe", name, "--output-dir", str(tmp_path / "out"),
+        "--override", "n=200", "--override", "replications=2",
+        "--override", "schedules.eta0=0.05",
+    ])
+    assert rc == 0
+    assert recipes.get_recipe(name) == before
 
 
 def test_validate_config(tmp_path, capsys):

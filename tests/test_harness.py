@@ -1006,7 +1006,7 @@ def test_sweep_rejects_duplicates_and_handles_empty():
     cfg = sh.config_from_dict(small_raw(n=50, replications=2))
     with pytest.raises(sh.ConfigError):
         sh.sweep([cfg, cfg])
-    assert sh.sweep([]) == []
+    assert list(sh.sweep([])) == []
 
 
 def test_oracle_coverage_near_nominal():
