@@ -33,7 +33,7 @@ KINDS = ("gaussian", "spherical", "canonical", "orthonormal", "nonuniform")
 BASIS_KINDS = ("canonical", "orthonormal")
 
 #: Kinds whose every direction is a row of ``basis_rows(dist)``; their draw
-#: is a row index, which ``draw_directions`` returns on request.
+#: is a row index, which ``draw_directions`` returns.
 INDEXED_KINDS = BASIS_KINDS + ("nonuniform",)
 
 #: Indexed kinds whose row k is a multiple of e_k.
@@ -143,16 +143,11 @@ def draw_directions(
     dist: DirectionDistribution,
     mode: QueryMode,
     size: int,
-    *,
-    indices: bool = False,
 ) -> np.ndarray:
-    """Direction vectors for ``size`` iterations, shape (size, m, dim).
-
-    An indexed law (``INDEXED_KINDS``) draws the (size, m) row indices into
-    ``basis_rows(dist)`` and expands them; with ``indices`` it returns the
-    indices instead, from the same draws. Gaussian and spherical
-    directions are always returned dense. Without replacement each
-    iteration's indices are a uniformly random ordered m-subset of the
+    """Directions for ``size`` iterations: an indexed law's (size, m) row
+    indices into ``basis_rows(dist)`` (``INDEXED_KINDS``), or the gaussian
+    and spherical laws' dense (size, m, dim) vectors. Without replacement
+    each iteration's indices are a uniformly random ordered m-subset of the
     basis (argsort of uniform keys); nonuniform indices come from an
     inverse-CDF lookup.
     """
@@ -166,12 +161,10 @@ def draw_directions(
         return math.sqrt(d) * g / norms
     if kind == "nonuniform":
         cum = np.cumsum(dist.p)
-        idx = np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
-    elif mode.without_replacement:
-        idx = np.argsort(rng.random((size, d)), axis=1)[:, :m]
-    else:
-        idx = rng.integers(0, d, size=(size, m))
-    return idx if indices else basis_rows(dist)[idx]
+        return np.minimum(np.searchsorted(cum, rng.random((size, m)), side="right"), d - 1)
+    if mode.without_replacement:
+        return np.argsort(rng.random((size, d)), axis=1)[:, :m]
+    return rng.integers(0, d, size=(size, m))
 
 
 def analytic_q(dist: DirectionDistribution, s: np.ndarray) -> np.ndarray:

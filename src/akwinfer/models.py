@@ -96,10 +96,12 @@ class LossOracle:
 
     # -- data generation ------------------------------------------------
 
-    @property
-    def noise_kind(self) -> str:
-        """Distribution of the per-point noise draw: 'normal' or 'uniform'."""
-        return "uniform" if self.spec.family == "logistic" else "normal"
+    def draw_noise(self, rng: np.random.Generator, size: int | None = None):
+        """The raw noise draws that ``response_from_noise`` turns into
+        responses: uniform on [0, 1) for logistic, standard normal else."""
+        if self.spec.family == "logistic":
+            return rng.random(size)
+        return rng.standard_normal(size)
 
     def draw_x(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         shape = (self.spec.dim,) if size is None else (size, self.spec.dim)

@@ -1,8 +1,9 @@
 """Named experiment recipes: frozen configs for the standard tables/figures.
 
 Each recipe maps to one config dict (or a list of dicts for sweep
-recipes). Names ending in ``-d20`` or ``-d100`` are long-running
-(``LONG_RUNNING``).
+recipes), built by ``_recipe`` with every key written out; a table's
+builder passes only what differs from the shared settings. Names ending
+in ``-d20`` or ``-d100`` are long-running (``LONG_RUNNING``).
 """
 
 from __future__ import annotations
@@ -12,32 +13,37 @@ import copy
 __all__ = ["RECIPES", "LONG_RUNNING", "recipe_names", "get_recipe"]
 
 
-def _table2(family: str, design: str, d: int, seed: int) -> dict:
+_SCHEDULES = {"eta0": 0.1, "alpha": 0.501, "h0": 0.1, "gamma": 0.7}
+
+
+def _recipe(
+    name: str, model: dict, kind: str, seed: int, *,
+    m: int = 1, replacement: str = "with", n: int = 100_000, **rest,
+) -> dict:
+    """One frozen config with every key written out: the shared schedules,
+    100 replications, level 0.95 and the three methods, unless ``rest``
+    sets its own."""
     return {
-        "name": f"table2-{family}-{design}-d{d}",
-        "model": {"family": family, "dim": d, "design": design, "rho": 0.2},
-        "directions": {"kind": "canonical", "m": 1, "replacement": "with"},
-        "schedules": {"eta0": 0.1, "alpha": 0.501, "h0": 0.1, "gamma": 0.7},
-        "n": 100_000,
+        "name": name,
+        "model": model,
+        "directions": {"kind": kind, "m": m, "replacement": replacement},
+        "schedules": dict(_SCHEDULES),
+        "n": n,
         "replications": 100,
         "seed": seed,
         "level": 0.95,
         "inference": ["plugin", "random_scaling", "oracle"],
+        **rest,
     }
+
+
+def _table2(family: str, design: str, d: int, seed: int) -> dict:
+    model = {"family": family, "dim": d, "design": design, "rho": 0.2}
+    return _recipe(f"table2-{family}-{design}-d{d}", model, "canonical", seed)
 
 
 def _directions(kind: str, seed: int) -> dict:
-    cfg = {
-        "name": f"table5-directions-{kind}",
-        "model": {"family": "linear", "dim": 5},
-        "directions": {"kind": kind, "m": 1, "replacement": "with"},
-        "schedules": {"eta0": 0.1, "alpha": 0.501, "h0": 0.1, "gamma": 0.7},
-        "n": 100_000,
-        "replications": 100,
-        "seed": seed,
-        "level": 0.95,
-        "inference": ["plugin", "random_scaling", "oracle"],
-    }
+    cfg = _recipe(f"table5-directions-{kind}", {"family": "linear", "dim": 5}, kind, seed)
     if kind == "orthonormal":
         cfg["directions"]["basis_seed"] = 11
     if kind == "nonuniform":
@@ -48,33 +54,20 @@ def _directions(kind: str, seed: int) -> dict:
 
 def _multiquery(m: int, replacement: str, seed: int) -> dict:
     tag = "table8-wor" if replacement == "without" else "table7-multiquery"
-    return {
-        "name": f"{tag}-m{m}",
-        "model": {"family": "linear", "dim": 5},
-        "directions": {"kind": "canonical", "m": m, "replacement": replacement},
-        "schedules": {"eta0": 0.1, "alpha": 0.501, "h0": 0.1, "gamma": 0.7},
-        "n": 50_000,
-        "replications": 100,
-        "seed": seed,
-        "level": 0.95,
-        "inference": ["plugin", "random_scaling", "oracle"],
-    }
+    return _recipe(f"{tag}-m{m}", {"family": "linear", "dim": 5}, "canonical", seed,
+                   m=m, replacement=replacement, n=50_000)
 
 
 def _quantile(tau: float, seed: int) -> dict:
-    return {
-        "name": f"tableD2-quantile-tau{int(round(100 * tau)):02d}",
-        "model": {"family": "quantile", "dim": 5, "tau": tau, "sigma2": 0.2},
-        "directions": {"kind": "canonical", "m": 1, "replacement": "with"},
+    return _recipe(
+        f"tableD2-quantile-tau{int(round(100 * tau)):02d}",
+        {"family": "quantile", "dim": 5, "tau": tau, "sigma2": 0.2},
+        "canonical",
+        seed,
         # the nonsmooth check loss needs a larger, slower-decaying spacing:
         # the entrywise Hessian second differences have variance ~ 1/h
-        "schedules": {"eta0": 0.1, "alpha": 0.501, "h0": 0.2, "gamma": 0.6},
-        "n": 100_000,
-        "replications": 100,
-        "seed": seed,
-        "level": 0.95,
-        "inference": ["plugin", "random_scaling", "oracle"],
-    }
+        schedules={**_SCHEDULES, "h0": 0.2, "gamma": 0.6},
+    )
 
 
 RECIPES: dict[str, dict | list[dict]] = {
@@ -99,30 +92,14 @@ RECIPES: dict[str, dict | list[dict]] = {
     "tableD2-quantile-tau10": _quantile(0.1, 401),
     "tableD2-quantile-tau50": _quantile(0.5, 402),
     "tableD2-quantile-tau90": _quantile(0.9, 403),
-    "fig2-error-checkpoints": {
-        "name": "fig2-error-checkpoints",
-        "model": {"family": "linear", "dim": 5},
-        "directions": {"kind": "spherical", "m": 1, "replacement": "with"},
-        "schedules": {"eta0": 0.1, "alpha": 0.501, "h0": 0.1, "gamma": 0.7},
-        "n": 100_000,
-        "replications": 20,
-        "seed": 501,
-        "level": 0.95,
-        "inference": ["plugin", "random_scaling", "oracle"],
-        "checkpoints": [100, 1_000, 10_000, 100_000],
-    },
+    "fig2-error-checkpoints": _recipe(
+        "fig2-error-checkpoints", {"family": "linear", "dim": 5}, "spherical", 501,
+        replications=20, checkpoints=[100, 1_000, 10_000, 100_000],
+    ),
     "fig5-msweep": [
-        {
-            "name": f"fig5-msweep-m{m}",
-            "model": {"family": "logistic", "dim": 20},
-            "directions": {"kind": "canonical", "m": m, "replacement": "with"},
-            "schedules": {"eta0": 1.0, "alpha": 0.501, "h0": 0.1, "gamma": 0.7},
-            "n": 20_000,
-            "replications": 50,
-            "seed": 600 + m,
-            "level": 0.95,
-            "inference": ["plugin", "oracle"],
-        }
+        _recipe(f"fig5-msweep-m{m}", {"family": "logistic", "dim": 20}, "canonical", 600 + m,
+                m=m, n=20_000, schedules={**_SCHEDULES, "eta0": 1.0}, replications=50,
+                inference=["plugin", "oracle"])
         for m in (1, 2, 5, 10, 100)
     ],
 }

@@ -74,7 +74,6 @@ from .plugin_inference import (
     subsample_block,
 )
 from .random_scaling import (
-    TWO_SIDED_CRITICAL_VALUES,
     assemble_v,
     critical_value,
     kahan_add,
@@ -166,9 +165,9 @@ class ExperimentConfig:
     dist: dirs.DirectionDistribution
     mode: dirs.QueryMode
     sched: Schedules
-    n: int
-    replications: int
-    seed: int
+    n: int = 100_000
+    replications: int = 100
+    seed: int = 0
     inference: tuple[str, ...] = METHODS
     w: np.ndarray | None = None
     level: float = 0.95
@@ -191,13 +190,7 @@ class ExperimentConfig:
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
         if "random_scaling" in self.inference:
-            try:
-                critical_value(self.level)
-            except ValueError:
-                raise ValueError(
-                    "random-scaling intervals support only tabled levels "
-                    f"{sorted(TWO_SIDED_CRITICAL_VALUES)}"
-                ) from None
+            critical_value(self.level)
         d = self.model.dim
         if self.dist.dim != d:
             raise ValueError("direction dimension does not match model dimension")
@@ -215,33 +208,29 @@ class ExperimentConfig:
         self.checkpoints = cps
 
     def resolved(self) -> dict:
-        """Canonical JSON-serializable form; the config hash is taken over it."""
+        """Canonical JSON-serializable form; the config hash is taken over it.
+        The model section is the ``ModelSpec`` with ``theta_star`` named
+        ``theta``; the directions section is the law's kind, the
+        ``QueryMode`` and the law's basis and probabilities."""
+        model = asdict(self.model)
+        model["theta"] = model.pop("theta_star").tolist()
+        u, p = self.dist.u, self.dist.p
         return {
             "name": self.name,
             "algorithm": self.algorithm,
-            "model": {
-                "family": self.model.family,
-                "theta": [float(t) for t in self.model.theta_star],
-                "sigma2": self.model.sigma2,
-                "tau": self.model.tau,
-                "design": self.model.design,
-                "rho": self.model.rho,
-            },
+            "model": model,
             "directions": {
                 "kind": self.dist.kind,
-                "m": self.mode.m,
-                "replacement": self.mode.replacement,
-                "basis": None
-                if self.dist.u is None
-                else [[float(v) for v in row] for row in self.dist.u],
-                "p": None if self.dist.p is None else [float(v) for v in self.dist.p],
+                **asdict(self.mode),
+                "basis": None if u is None else u.tolist(),
+                "p": None if p is None else p.tolist(),
             },
             "schedules": asdict(self.sched),
             "n": self.n,
             "replications": self.replications,
             "seed": self.seed,
             "level": self.level,
-            "w": [float(v) for v in self.w],
+            "w": self.w.tolist(),
             "inference": list(self.inference),
             "plugin": asdict(self.plugin),
             "checkpoints": list(self.checkpoints),
@@ -287,36 +276,52 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _list(values, key: str, convert, what: str) -> list:
+    """A list of ``what``, each entry through ``convert`` as ``<key> entry``."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{key} must be a list of {what}, got {values!r}")
+    return [convert(v, f"{key} entry") for v in values]
+
+
 def _reals(values, key: str) -> np.ndarray:
     """A list of numbers as a float vector, each entry through ``_real``."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
-    return np.array([_real(v, f"{key} entry") for v in values], dtype=float)
+    return np.array(_list(values, key, _real, "numbers"), dtype=float)
 
 
-_CONVERT = {"float": _real, "int": _integer}
+def _text(value, key: str) -> str:
+    """``value`` as ``str`` spells it, so ``--override name=7`` names a run "7"."""
+    return str(value)
 
-# The top-level keys that ExperimentConfig has a default for, each with its
-# conversion, in the order the conversions run.
-_OPTIONAL = {
-    "inference": tuple,
-    "w": lambda v: None if v is None else _reals(v, "w"),
-    "level": lambda v: _real(v, "level"),
-    "algorithm": lambda v: v,
-    "name": str,
+
+# A dataclass field's conversion, by its annotation
+_CONVERT = {
+    "float": _real,
+    "int": _integer,
+    "str": _text,
+    "tuple[str, ...]": lambda v, key: tuple(_list(v, key, _text, "names")),
+    "tuple[int, ...]": lambda v, key: tuple(_list(v, key, _integer, "integers")),
+    "np.ndarray | None": lambda v, key: None if v is None else _reals(v, key),
 }
 
 
-def _given(cls, raw: dict, where: str, names=None) -> dict:
+def _given(cls, raw: dict, where: str, diags: list[str], names=None) -> dict:
     """The fields of the dataclass ``cls`` that ``raw`` sets (of ``names``
-    only, if given), in field order, each converted by its annotation:
-    ``float`` through ``_real``, ``int`` through ``_integer``, any other as
-    given. A field ``raw`` leaves out is left out, so it takes its default."""
-    return {
-        f.name: _CONVERT.get(f.type, lambda v, _: v)(raw[f.name], f"{where}.{f.name}")
-        for f in fields(cls)
-        if f.name in raw and (names is None or f.name in names)
-    }
+    only, if given), in field order, each converted by its annotation
+    through ``_CONVERT``; a field whose annotation has no entry there, such
+    as a section already parsed, is taken as given. Each value that does
+    not convert appends one violation to ``diags``, its key named
+    ``where.key`` (``key`` at the top level, where ``where`` is "config").
+    A field ``raw`` leaves out, or whose value does not convert, is left
+    out, so it takes its default."""
+    given = {}
+    for f in fields(cls):
+        if f.name in raw and (names is None or f.name in names):
+            key = f.name if where == "config" else f"{where}.{f.name}"
+            try:
+                given[f.name] = _CONVERT.get(f.type, lambda v, _: v)(raw[f.name], key)
+            except ValueError as exc:
+                diags.append(f"{where}: {exc}")
+    return given
 
 
 def _object(raw: dict, where: str, diags: list[str]) -> dict | None:
@@ -338,20 +343,25 @@ def _section(cls, raw: dict, where: str, diags: list[str]):
         return None
     _check_keys(section, {f.name for f in fields(cls)}, where, diags)
     try:
-        return cls(**_given(cls, section, where))
+        return cls(**_given(cls, section, where, diags))
     except (ValueError, TypeError) as exc:
         diags.append(f"{where}: {exc}")
         return None
 
 
 def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
-    """Strict config parse; returns (config-or-None, list of violations)."""
+    """Strict config parse; returns (config-or-None, list of violations).
+    Every section and top-level key is checked, and each bad key leaves its
+    own violation; a bad ``model.theta``, ``dim`` or ``theta_seed`` leaves
+    the direction law unchecked, as its dimension comes from the model.
+    Values are converted by ``_given``, and a key left out takes its
+    dataclass default; only ``model.family``, ``model.theta_seed`` and
+    ``directions.kind`` have their defaults here."""
     diags: list[str] = []
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
-    top = {"model", "directions", "schedules", "plugin", "n", "replications",
-           "seed", "checkpoints", *_OPTIONAL}
-    _check_keys(raw, top, "config", diags)
+    top = {f.name for f in fields(ExperimentConfig)} - {"dist", "mode", "sched"}
+    _check_keys(raw, top | {"directions", "schedules"}, "config", diags)
 
     mraw = _object(raw, "model", diags)
     model = None
@@ -362,6 +372,8 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             "model",
             diags,
         )
+        rest = _given(models.ModelSpec, mraw, "model", diags,
+                      ("sigma2", "tau", "design", "rho"))
         try:
             theta = mraw.get("theta")
             if theta is None:
@@ -377,9 +389,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 if "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
                     raise ValueError("model.theta length contradicts model.dim")
             model = models.ModelSpec(
-                family=mraw.get("family", "linear"),
-                theta_star=theta,
-                **_given(models.ModelSpec, mraw, "model", ("sigma2", "tau", "design", "rho")),
+                family=mraw.get("family", "linear"), theta_star=theta, **rest
             )
         except (ValueError, TypeError) as exc:
             diags.append(f"model: {exc}")
@@ -390,6 +400,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         _check_keys(
             draw, {"kind", "m", "replacement", "p", "basis_seed"}, "directions", diags
         )
+        query = _given(dirs.QueryMode, draw, "directions", diags)
     if model is not None and draw is not None:
         try:
             kind = draw.get("kind", "spherical")
@@ -405,7 +416,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 u=u,
                 p=None if p is None else _reals(p, "directions.p"),
             )
-            mode = dirs.QueryMode(**_given(dirs.QueryMode, draw, "directions"))
+            mode = dirs.QueryMode(**query)
             dirs._check_mode(dist, mode)
         except (ValueError, TypeError) as exc:
             diags.append(f"directions: {exc}")
@@ -413,33 +424,12 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     sched = _section(Schedules, raw, "schedules", diags)
     plugin = _section(PluginSettings, raw, "plugin", diags)
 
-    counts = {}
-    for key, default in (("n", 100_000), ("replications", 100), ("seed", 0)):
-        try:
-            counts[key] = _integer(raw.get(key, default), key)
-        except ValueError as exc:
-            diags.append(f"config: {exc}")
-    if "checkpoints" in raw:
-        cps = raw["checkpoints"]
-        try:
-            if not isinstance(cps, (list, tuple)):
-                raise ValueError(f"checkpoints must be a list of integers, got {cps!r}")
-            counts["checkpoints"] = tuple(_integer(c, "checkpoints entry") for c in cps)
-        except ValueError as exc:
-            diags.append(f"config: {exc}")
-
-    if diags or model is None or dist is None or sched is None or plugin is None:
+    parsed = {"model": model, "dist": dist, "mode": mode, "sched": sched, "plugin": plugin}
+    given = _given(ExperimentConfig, {**raw, **parsed}, "config", diags)
+    if diags:  # every section that failed to parse left a violation
         return None, diags
     try:
-        cfg = ExperimentConfig(
-            model=model,
-            dist=dist,
-            mode=mode,
-            sched=sched,
-            plugin=plugin,
-            **{key: convert(raw[key]) for key, convert in _OPTIONAL.items() if key in raw},
-            **counts,
-        )
+        cfg = ExperimentConfig(**given)
     except (ValueError, TypeError) as exc:
         diags.append(str(exc))
         return None, diags
@@ -472,13 +462,13 @@ def draw_block(
     block length: two calls of 100 draw a different tape than one of 200.
     The directions of an indexed law (canonical, orthonormal, nonuniform)
     are their (size, m) row indices into ``directions.basis_rows``, those
-    of the gaussian and spherical laws the dense (size, m, d) vectors; both
-    come from ``draw_directions``, which expands the indices to the same
-    vectors. The engine and the tests' scalar replays consume this.
+    of the gaussian and spherical laws the dense (size, m, d) vectors, as
+    ``draw_directions`` returns them. The engine and the tests' scalar
+    replays consume this.
     """
     x = oracle.draw_x(rng, size)
-    z = rng.random(size) if oracle.noise_kind == "uniform" else rng.standard_normal(size)
-    v = dirs.draw_directions(rng, dist, mode, size, indices=True)
+    z = oracle.draw_noise(rng, size)
+    v = dirs.draw_directions(rng, dist, mode, size)
     mask = None
     if mask_p is not None and mask_p < 1.0:
         d = oracle.spec.dim
@@ -524,11 +514,10 @@ def summarize_records(records: list[ReplicationRecord]) -> dict:
     """Per-method aggregates over non-aborted replications.
 
     Recomputable from the replications CSV — the round-trip is tested.
+    The replication and abort counts are the run's (``run_experiment``):
+    a run without inference methods writes no records to count.
     """
-    out: dict = {"methods": {}, "aborted": 0}
-    reps = {(r.replication, r.aborted) for r in records}
-    out["replications"] = len(reps)
-    out["aborted"] = sum(a for _, a in reps)
+    out: dict = {"methods": {}}
     for method in METHODS:
         rows = [r for r in records if r.method == method and not r.aborted]
         if not rows:

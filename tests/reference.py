@@ -33,7 +33,7 @@ class DivergenceError(RuntimeError):
 def sample(oracle, rng):
     """One data point ``(x, y)`` of a LossOracle's model."""
     x = oracle.draw_x(rng)
-    z = rng.random() if oracle.noise_kind == "uniform" else rng.standard_normal()
+    z = oracle.draw_noise(rng)
     return x, float(oracle.response_from_noise(x @ oracle.spec.theta_star, z))
 
 
@@ -52,7 +52,7 @@ def loss_batch(oracle, thetas, zeta):
 def sample_batch(dist, mode, rng):
     """``mode.m`` directions for one iteration, shape (m, dim)."""
     _check_mode(dist, mode)
-    return draw_directions(rng, dist, mode, 1)[0]
+    return dense_directions(dist, draw_directions(rng, dist, mode, 1))[0]
 
 
 def dense_directions(dist, v):

@@ -62,7 +62,8 @@ def test_criterion_01_q_matrix_oracle_equivalence():
     worst = {}
     for kind, dist in all_distributions(d, rng).items():
         q = dirs.analytic_q(dist, s)
-        v = draw_directions(rng, dist, dirs.QueryMode(m=1), draws)[:, 0, :]
+        drawn = draw_directions(rng, dist, dirs.QueryMode(m=1), draws)
+        v = kw.dense_directions(dist, drawn)[:, 0, :]
         quad = np.einsum("nd,nd->n", v, v @ s)
         q_mc = (v.T * quad) @ v / draws
         tol = 0.02 * (1.0 + np.abs(q))
@@ -80,7 +81,7 @@ def test_criterion_02_multi_query_collapse_at_m_equals_d():
     mode = dirs.QueryMode(m=d, replacement="without")
     q_multi = dirs.analytic_q_multi(dist, s, mode)
     assert np.abs(q_multi - s).max() < 1e-12
-    v = draw_directions(rng, dist, mode, batches)  # (batches, d, d)
+    v = kw.dense_directions(dist, draw_directions(rng, dist, mode, batches))  # (batches, d, d)
     proj = np.einsum("bmd,bme->bde", v, v) / d
     q_mc = np.einsum("bde,ef,bfg->dg", proj, s, proj) / batches
     rel = np.abs(q_mc - s).max() / np.abs(s).max()

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from akwinfer import directions as dirs
-from akwinfer import models
+from akwinfer import models, recipes
 from akwinfer import simharness as sh
 from akwinfer.random_scaling import assemble_v, scaling_ci
 import reference as kw
@@ -58,6 +59,16 @@ def test_parse_config_collects_all_violations():
     assert "plugin.p must lie in (0, 1]" in joined
     assert "unknown key 'bogus'" in joined
     assert len(diags) == 3
+
+
+# A bad value leaves one violation naming its key, whatever else is bad.
+def test_parse_config_reports_every_bad_key():
+    cfg, diags = sh.parse_config(
+        small_raw(schedules={"eta0": "a", "h0": "b"}, level="x", w=["a", 1])
+    )
+    assert cfg is None and len(diags) == 4, diags
+    for key in ("schedules.eta0", "schedules.h0", "level", "w entry"):
+        assert sum(f"{key} must be a number" in d for d in diags) == 1, (key, diags)
 
 
 def test_parse_config_unknown_top_level_key():
@@ -273,6 +284,20 @@ def test_config_schema_is_pinned(raw, resolved, config_hash):
     cfg = sh.config_from_dict(raw)
     assert cfg.resolved() == resolved
     assert cfg.config_hash == config_hash
+
+
+# One sha256 over every frozen recipe's config hash, in recipe_names() order
+# with list recipes expanded, so that a change to any recipe shows up here.
+# A deliberate recipe change updates the literal and logs it in CHANGES.md.
+def test_recipes_are_frozen():
+    pairs = []
+    for name in recipes.recipe_names():
+        raw = recipes.get_recipe(name)
+        for r in raw if isinstance(raw, list) else [raw]:
+            pairs.append((name, sh.config_from_dict(r).config_hash))
+    assert len(pairs) == 27
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == "c3350e8ae34a61e9fd327b77e0f8600890210a24e0aa982e9176462d916d3a0b"
 
 
 def test_config_hash_ignores_dict_order_but_not_values():
@@ -498,13 +523,10 @@ def test_index_tape_matches_dense_directions(kind, replacement, d, m):
     mode = dirs.QueryMode(m, replacement)
     c, b = 7, 40
 
-    def tape(indices):
-        return np.stack([
-            dirs.draw_directions(np.random.default_rng(r), dist, mode, b, indices=indices)
-            for r in range(c)
-        ])
-
-    idx, dense = tape(True), tape(False)
+    idx = np.stack([
+        dirs.draw_directions(np.random.default_rng(r), dist, mode, b) for r in range(c)
+    ])
+    dense = kw.dense_directions(dist, idx)
     assert idx.shape == (c, b, m)
     xs = rng.standard_normal((c, b, d))
     coeff = rng.standard_normal((b, c, m)) * 10.0 ** rng.uniform(-3, 3, (b, c, m))
@@ -569,7 +591,7 @@ def test_pair_losses_match_dense_probe(family, d):
     rng = np.random.default_rng(d)
     c, h = 50, 0.1 * 7.0**-0.7
     x = oracle.draw_x(rng, c)
-    z = rng.random(c) if oracle.noise_kind == "uniform" else rng.standard_normal(c)
+    z = oracle.draw_noise(rng, c)
     y = oracle.response_from_noise(x @ spec.theta_star, z)
     u0 = rng.standard_normal(c)
     dense = oracle.linpred_loss(
