@@ -1,9 +1,9 @@
 """Loss oracles and data generators for the three worked regression models.
 
-Each oracle exposes what the replication engine needs (a data sampler,
-and the loss and its derivative as functions of the linear predictor),
-and the module gives closed-form curvature and gradient-noise matrices
-used as ground truth by the experiment harness.
+Each oracle exposes what the replication engine needs (a data sampler
+and the loss as a function of the linear predictor), and the module gives
+closed-form curvature and gradient-noise matrices used as ground truth by
+the experiment harness.
 
 All three losses depend on the parameter only through the linear predictor
 ``x^T theta``; ``linpred_loss`` exposes that structure so batched
@@ -134,16 +134,6 @@ class LossOracle:
         r, below, tau = np.asarray(r), r < 0.0, self.spec.tau
         np.multiply(r, tau - 1.0, out=r, where=below)
         return np.multiply(r, tau, out=r, where=~below)
-
-    def linpred_grad(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Derivative of ``linpred_loss`` in ``u`` (a subgradient at the
-        quantile kink)."""
-        family = self.spec.family
-        if family == "linear":
-            return 2.0 * (u - y)
-        if family == "logistic":
-            return -y / (1.0 + np.exp(y * u))
-        return (y - u < 0.0) - self.spec.tau
 
 
 # -- population curvature and noise matrices ----------------------------
@@ -278,9 +268,3 @@ def oracle_covariance(
     h_inv = sym_inverse(analytic_hessian(spec), name="population curvature")
     q = dirs.analytic_q_multi(dist, analytic_gram(spec), mode)
     return sandwich(h_inv, q)
-
-
-def rm_oracle_covariance(spec: ModelSpec) -> np.ndarray:
-    """Limiting covariance of the averaged exact-gradient baseline."""
-    h_inv = sym_inverse(analytic_hessian(spec), name="population curvature")
-    return sandwich(h_inv, analytic_gram(spec))

@@ -41,8 +41,8 @@ aborts, so its remaining checkpoints are written from the frozen state.
 This engine is the library's only optimizer. It defines the step-size and
 spacing schedules (``Schedules``) and the divergence rule
 (``within_guard``), and calls the library for the rest: directions come
-from ``directions.draw_directions``, exact gradients from
-``LossOracle.linpred_grad``, the probe's 1/p-weighted entry sample from
+from ``directions.draw_directions``, losses from
+``LossOracle.linpred_loss``, the probe's 1/p-weighted entry sample from
 ``plugin_inference.subsample_block`` and the random-scaling sums from
 ``random_scaling.kahan_add``. The random-scaling sums are kept for the
 scalar w·θ̄ only and the gradient Gram only for plug-in runs; records are
@@ -102,7 +102,6 @@ __all__ = [
 ]
 
 METHODS = ("plugin", "random_scaling", "oracle")
-ALGORITHMS = ("akw", "rm")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message lists every violation."""
@@ -173,7 +172,6 @@ class ExperimentConfig:
     level: float = 0.95
     checkpoints: tuple[int, ...] = ()
     plugin: PluginSettings = field(default_factory=PluginSettings)
-    algorithm: str = "akw"
     name: str = "run"
 
     def __post_init__(self):
@@ -181,14 +179,16 @@ class ExperimentConfig:
             raise ValueError("n must be nonnegative")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         bad = [m for m in self.inference if m not in METHODS]
         if bad:
             raise ValueError(f"unknown inference methods {bad}; valid: {METHODS}")
         self.inference = tuple(m for m in METHODS if m in self.inference)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        if self.name in ("", ".", "..") or any(
+            sep and sep in self.name for sep in (os.sep, os.altsep, "\0")
+        ):
+            raise ValueError(f"name must be one plain path component, got {self.name!r}")
         if "random_scaling" in self.inference:
             critical_value(self.level)
         d = self.model.dim
@@ -217,7 +217,6 @@ class ExperimentConfig:
         u, p = self.dist.u, self.dist.p
         return {
             "name": self.name,
-            "algorithm": self.algorithm,
             "model": model,
             "directions": {
                 "kind": self.dist.kind,
@@ -301,27 +300,44 @@ _CONVERT = {
     "tuple[str, ...]": lambda v, key: tuple(_list(v, key, _text, "names")),
     "tuple[int, ...]": lambda v, key: tuple(_list(v, key, _integer, "integers")),
     "np.ndarray | None": lambda v, key: None if v is None else _reals(v, key),
+    "int | None": lambda v, key: None if v is None else _integer(v, key),
 }
 
 
-def _given(cls, raw: dict, where: str, diags: list[str], names=None) -> dict:
-    """The fields of the dataclass ``cls`` that ``raw`` sets (of ``names``
-    only, if given), in field order, each converted by its annotation
-    through ``_CONVERT``; a field whose annotation has no entry there, such
-    as a section already parsed, is taken as given. Each value that does
-    not convert appends one violation to ``diags``, its key named
-    ``where.key`` (``key`` at the top level, where ``where`` is "config").
-    A field ``raw`` leaves out, or whose value does not convert, is left
-    out, so it takes its default."""
+def _convert(raw: dict, types: dict[str, str], where: str, diags: list[str]) -> dict:
+    """The keys of ``types`` that ``raw`` sets, in ``types`` order, each
+    converted by its annotation in ``types`` through ``_CONVERT``; a key
+    whose annotation has no entry there, such as a section already parsed,
+    is taken as given. Each value that does not convert appends one
+    violation to ``diags``, its key named ``where.key`` (``key`` at the top
+    level, where ``where`` is "config"). A key ``raw`` leaves out, or whose
+    value does not convert, is left out, so it takes its default."""
     given = {}
-    for f in fields(cls):
-        if f.name in raw and (names is None or f.name in names):
-            key = f.name if where == "config" else f"{where}.{f.name}"
+    for name, annotation in types.items():
+        if name in raw:
+            key = name if where == "config" else f"{where}.{name}"
             try:
-                given[f.name] = _CONVERT.get(f.type, lambda v, _: v)(raw[f.name], key)
+                given[name] = _CONVERT.get(annotation, lambda v, _: v)(raw[name], key)
             except ValueError as exc:
                 diags.append(f"{where}: {exc}")
     return given
+
+
+def _given(cls, raw: dict, where: str, diags: list[str], names=None) -> dict:
+    """``_convert`` over the fields of the dataclass ``cls`` (of ``names``
+    only, if given), each by its annotation."""
+    types = {f.name: f.type for f in fields(cls) if names is None or f.name in names}
+    return _convert(raw, types, where, diags)
+
+
+def _attempt(fn, where: str, diags: list[str], **kwargs):
+    """``fn(**kwargs)``; None if it raises a ValueError or TypeError, which
+    is appended to ``diags`` as a violation of ``where``."""
+    try:
+        return fn(**kwargs)
+    except (ValueError, TypeError) as exc:
+        diags.append(f"{where}: {exc}")
+        return None
 
 
 def _object(raw: dict, where: str, diags: list[str]) -> dict | None:
@@ -342,21 +358,40 @@ def _section(cls, raw: dict, where: str, diags: list[str]):
     if section is None:
         return None
     _check_keys(section, {f.name for f in fields(cls)}, where, diags)
-    try:
-        return cls(**_given(cls, section, where, diags))
-    except (ValueError, TypeError) as exc:
-        diags.append(f"{where}: {exc}")
-        return None
+    return _attempt(cls, where, diags, **_given(cls, section, where, diags))
+
+
+def _theta(theta=None, dim=None, theta_seed=2024) -> np.ndarray:
+    """The model's true parameter: ``theta``, else a seeded point of the
+    unit sphere in ``dim`` dimensions."""
+    if theta is None:
+        if dim is None:
+            raise ValueError("model needs 'theta' or 'dim'")
+        return models.theta_on_unit_sphere(dim, theta_seed)
+    if dim is not None and len(theta) != dim:
+        raise ValueError("model.theta length contradicts model.dim")
+    return theta
+
+
+def _law(kind, dim, p=None, basis_seed=None) -> dirs.DirectionDistribution:
+    """The direction law; an orthonormal one's basis is drawn from
+    ``basis_seed`` if it is given, and is the identity otherwise."""
+    u = None
+    if kind == "orthonormal" and basis_seed is not None:
+        u = dirs.random_orthonormal(dim, basis_seed)
+    return dirs.DirectionDistribution(kind=kind, dim=dim, u=u, p=p)
 
 
 def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Strict config parse; returns (config-or-None, list of violations).
     Every section and top-level key is checked, and each bad key leaves its
-    own violation; a bad ``model.theta``, ``dim`` or ``theta_seed`` leaves
-    the direction law unchecked, as its dimension comes from the model.
-    Values are converted by ``_given``, and a key left out takes its
-    dataclass default; only ``model.family``, ``model.theta_seed`` and
-    ``directions.kind`` have their defaults here."""
+    own violation. The one exception: a bad ``model.theta``, ``dim`` or
+    ``theta_seed`` leaves the checks of the direction law that need the
+    model's dimension undone (its kind, the length, sign and sum of
+    ``directions.p``, and sampling without replacement), though every
+    direction key is still converted. Values are converted by ``_convert``,
+    and a key left out takes its dataclass default; only ``model.family``,
+    ``model.theta_seed`` and ``directions.kind`` have their defaults here."""
     diags: list[str] = []
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
@@ -364,7 +399,7 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     _check_keys(raw, top | {"directions", "schedules"}, "config", diags)
 
     mraw = _object(raw, "model", diags)
-    model = None
+    model = theta = None
     if mraw is not None:
         _check_keys(
             mraw,
@@ -374,25 +409,14 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         )
         rest = _given(models.ModelSpec, mraw, "model", diags,
                       ("sigma2", "tau", "design", "rho"))
-        try:
-            theta = mraw.get("theta")
-            if theta is None:
-                dim = mraw.get("dim")
-                if dim is None:
-                    raise ValueError("model needs 'theta' or 'dim'")
-                theta = models.theta_on_unit_sphere(
-                    _integer(dim, "model.dim"),
-                    _integer(mraw.get("theta_seed", 2024), "model.theta_seed"),
-                )
-            else:
-                theta = _reals(theta, "model.theta")
-                if "dim" in mraw and len(theta) != _integer(mraw["dim"], "model.dim"):
-                    raise ValueError("model.theta length contradicts model.dim")
-            model = models.ModelSpec(
-                family=mraw.get("family", "linear"), theta_star=theta, **rest
-            )
-        except (ValueError, TypeError) as exc:
-            diags.append(f"model: {exc}")
+        count = len(diags)
+        shape = _convert(mraw, {"theta": "np.ndarray | None", "dim": "int",
+                                "theta_seed": "int"}, "model", diags)
+        if len(diags) == count:
+            theta = _attempt(_theta, "model", diags, **shape)
+        if theta is not None:
+            model = _attempt(models.ModelSpec, "model", diags,
+                             family=mraw.get("family", "linear"), theta_star=theta, **rest)
 
     draw = _object(raw, "directions", diags)
     dist = mode = None
@@ -400,26 +424,16 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         _check_keys(
             draw, {"kind", "m", "replacement", "p", "basis_seed"}, "directions", diags
         )
-        query = _given(dirs.QueryMode, draw, "directions", diags)
-    if model is not None and draw is not None:
-        try:
-            kind = draw.get("kind", "spherical")
-            u = None
-            if kind == "orthonormal" and draw.get("basis_seed") is not None:
-                u = dirs.random_orthonormal(
-                    model.dim, _integer(draw["basis_seed"], "directions.basis_seed")
-                )
-            p = draw.get("p")
-            dist = dirs.DirectionDistribution(
-                kind=kind,
-                dim=model.dim,
-                u=u,
-                p=None if p is None else _reals(p, "directions.p"),
-            )
-            mode = dirs.QueryMode(**query)
-            dirs._check_mode(dist, mode)
-        except (ValueError, TypeError) as exc:
-            diags.append(f"directions: {exc}")
+        mode = _attempt(dirs.QueryMode, "directions", diags,
+                        **_given(dirs.QueryMode, draw, "directions", diags))
+        count = len(diags)
+        law = _convert(draw, {"p": "np.ndarray | None", "basis_seed": "int | None"},
+                       "directions", diags)
+        if theta is not None and len(diags) == count:
+            dist = _attempt(_law, "directions", diags,
+                            kind=draw.get("kind", "spherical"), dim=len(theta), **law)
+        if dist is not None and mode is not None:
+            _attempt(dirs._check_mode, "directions", diags, dist=dist, mode=mode)
 
     sched = _section(Schedules, raw, "schedules", diags)
     plugin = _section(PluginSettings, raw, "plugin", diags)
@@ -584,12 +598,6 @@ class _ChunkState:
         self.sc_c = np.zeros((c, 3))
 
 
-def _oracle_truth(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.algorithm == "rm":
-        return models.rm_oracle_covariance(cfg.model)
-    return models.oracle_covariance(cfg.model, cfg.dist, cfg.mode)
-
-
 def _method_records(
     cfg: ExperimentConfig,
     st: _ChunkState,
@@ -714,15 +722,12 @@ class _StepGroup:
         size = max(1, FOLD_BUDGET // (pairs + d))
         self.cfg, self.oracle, self.size, self.c = cfg, oracle, size, c
         self.start = self.steps = self.probes = 0
-        self.step_queries = cfg.mode.m + 1 if cfg.algorithm == "akw" else 1
-        self.grads = self.f0 = self.mask = self.theta_bar = None
+        self.grads = self.mask = self.theta_bar = None
         if "plugin" in cfg.inference:
             # coordinates first, for the pair gather
             self.grads, self.x = np.empty((d, size, c)), np.empty((d, size, c))
             self.h = np.empty((size, 1))
-            self.y, self.u0 = np.empty((size, c)), np.empty((size, c))
-            if cfg.algorithm == "akw":  # rm evaluates no f0 in its step
-                self.f0 = np.empty((size, c))
+            self.y, self.u0, self.f0 = (np.empty((size, c)) for _ in range(3))
             if cfg.plugin.p < 1.0:
                 self.mask = np.empty((size, c, d, d), dtype=bool)
             self.raw, self.fe = np.empty(2 * pairs * size * c), np.empty(2 * pairs * size * c)
@@ -739,9 +744,7 @@ class _StepGroup:
             if i % self.cfg.plugin.every == 0:
                 q = self.probes
                 self.probes += 1
-                self.h[q], self.x[:, q], self.y[q], self.u0[q] = h, x.T, y, u0
-                if self.f0 is not None:
-                    self.f0[q] = f0
+                self.h[q], self.x[:, q], self.y[q], self.u0[q], self.f0[q] = h, x.T, y, u0, f0
                 if self.mask is not None:
                     self.mask[q] = mask
         if self.theta_bar is not None:
@@ -751,7 +754,7 @@ class _StepGroup:
         k, c = self.steps, self.c
         steps = np.arange(self.start + 1, self.start + k + 1)
         live = steps[:, None] < st.abort_step  # (k, C)
-        st.queries += self.step_queries * (steps[:, None] <= st.abort_step).sum(axis=0)
+        st.queries += (self.cfg.mode.m + 1) * (steps[:, None] <= st.abort_step).sum(axis=0)
         self.start += k
         self.steps = 0
         st.n_done = np.minimum(self.start, st.abort_step - 1)
@@ -778,8 +781,7 @@ class _StepGroup:
         q, self.probes = self.probes, 0
         oracle, ends = self.oracle, self.ends
         d, pairs, c = len(self.pair), ends.shape[1], self.c
-        h, xt, y, u0 = self.h[:q], self.x[:, :q], self.y[:q], self.u0[:q]
-        f0 = oracle.linpred_loss(u0, y) if self.f0 is None else self.f0[:q]
+        h, xt, y, u0, f0 = self.h[:q], self.x[:, :q], self.y[:q], self.u0[:q], self.f0[:q]
         fs = _view(self.fs, d, q, c)  # f(u0 + h·x_k), (d, q, C)
         oracle.linpred_loss(np.add(u0, np.multiply(h, xt, out=fs), out=fs), y, out=fs)
         raw, fe = _view(self.raw, 2, pairs, q, c), _view(self.fe, 2, pairs, q, c)
@@ -866,7 +868,6 @@ def _run_chunk(
     group = _StepGroup(cfg, oracle, c)
     rngs = [np.random.default_rng(cfg.seed + int(r)) for r in rep_indices]
     mask_p = cfg.plugin.p if "plugin" in cfg.inference else None
-    akw = cfg.algorithm == "akw"
     directions = _step_directions(dist, c)
     lin = np.empty((c, m + 1))  # u0, then u0 + h·x·v for each direction
     checkpoint_records: list[ReplicationRecord] = []
@@ -895,7 +896,7 @@ def _run_chunk(
             u_star[j, :size] = (drawn[0] * cfg.model.theta_star).sum(axis=-1)
         xs, zs, vs, masks = (None if b is None else b[:, :size] for b in tape)
         ys = oracle.response_from_noise(u_star[:, :size], zs).T  # step-major (B, C)
-        xvs = directions.block(xs, vs) if akw else None
+        xvs = directions.block(xs, vs)
         hs = [sched.h(k) for k in range(i + 1, i + size + 1)]
         etas = [sched.eta(k) for k in range(i + 1, i + size + 1)]
         for t in range(size):
@@ -903,18 +904,13 @@ def _run_chunk(
             x, y, h = xs[:, t, :], ys[t], hs[t]
             act = st.active
             u0 = np.einsum("cd,cd->c", x, st.theta)
-            if akw:
-                # f0 and the direction losses in one call
-                lin[:, 0] = u0
-                np.add(u0[:, None], h * xvs[t], out=lin[:, 1:])
-                f = oracle.linpred_loss(lin, y[:, None])
-                f0 = f[:, 0]
-                g = directions.grad(t, (f[:, 1:] - f[:, :1]) / h)
-                if m > 1:
-                    g /= m
-            else:
-                f0 = None
-                g = oracle.linpred_grad(u0, y)[:, None] * x
+            # f0 and the direction losses in one call
+            lin[:, 0] = u0
+            np.add(u0[:, None], h * xvs[t], out=lin[:, 1:])
+            f = oracle.linpred_loss(lin, y[:, None])
+            g = directions.grad(t, (f[:, 1:] - f[:, :1]) / h)
+            if m > 1:
+                g /= m
             if not all_live:
                 g = np.where(act[:, None], g, 0.0)
             theta_new = st.theta - etas[t] * g
@@ -931,7 +927,7 @@ def _run_chunk(
             if not all_live:
                 theta_bar = np.where(act[:, None], theta_bar, st.theta_bar)
             st.theta_bar = theta_bar
-            group.record(i, st, g, x, y, u0, f0, h, None if masks is None else masks[:, t])
+            group.record(i, st, g, x, y, u0, f[:, 0], h, None if masks is None else masks[:, t])
             at_mark = bool(marks) and i == marks[0]
             if at_mark or stopped or i % group.size == 0 or i == cfg.n:
                 group.fold(st)
@@ -1023,7 +1019,7 @@ def replication_states(cfg: ExperimentConfig, block: int = 1024) -> _ChunkState:
     rows concatenated in replication order. ``block`` bounds the tape
     length held in memory at once; it also selects the tape (see
     ``draw_block``). The worker count is ``resolve_workers(None)``."""
-    c_true = _oracle_truth(cfg)
+    c_true = models.oracle_covariance(cfg.model, cfg.dist, cfg.mode)
     states = _map_chunks(_chunk_state, cfg, None, c_true, spectral_norm(c_true), block)
     st = states[0]
     for name in vars(st):
@@ -1044,7 +1040,7 @@ def run_experiment(
     byte-identical for any worker count. Each replication's randomness
     comes from ``default_rng(seed + replication)``.
     """
-    c_true = _oracle_truth(cfg)
+    c_true = models.oracle_covariance(cfg.model, cfg.dist, cfg.mode)
     c_norm = spectral_norm(c_true)
     records: list[ReplicationRecord] = []
     checkpoint_records: list[ReplicationRecord] = []
@@ -1062,7 +1058,6 @@ def run_experiment(
         config_hash=cfg.config_hash,
         seed=cfg.seed,
         n=cfg.n,
-        algorithm=cfg.algorithm,
         oracle_covariance_trace=float(np.trace(c_true)),
     )
     return ExperimentReport(

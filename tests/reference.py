@@ -11,6 +11,11 @@ gradient, ``u0 + h·x_k`` and ``u0 + h·(x_k + x_l)`` for the curvature
 probe. A replay therefore reproduces every per-step value of the engine
 bit for bit. Any other oracle is a black box, queried as
 ``oracle.loss(theta, zeta)``.
+
+The exact-gradient (Robbins–Monro) baseline, which the engine does not
+run, is kept here only as its loss derivative (``linpred_grad``) and its
+limiting covariance (``rm_oracle_covariance``), the targets that the
+gradient and the m = d without-replacement checks compare against.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from akwinfer import models
 from akwinfer.directions import INDEXED_KINDS, _check_mode, basis_rows, draw_directions
+from akwinfer.numkernel import sandwich, sym_inverse
 from akwinfer.plugin_inference import subsample_block
 from akwinfer.random_scaling import kahan_add
 from akwinfer.simharness import within_guard
@@ -47,6 +53,25 @@ def loss_batch(oracle, thetas, zeta):
     """``loss`` at each row of ``thetas``."""
     x, y = zeta
     return oracle.linpred_loss(thetas @ x, y)
+
+
+def linpred_grad(oracle, u, y):
+    """Derivative of a LossOracle's ``linpred_loss`` in ``u`` (a subgradient
+    at the quantile kink); the exact gradient in θ is ``linpred_grad·x``."""
+    family = oracle.spec.family
+    if family == "linear":
+        return 2.0 * (u - y)
+    if family == "logistic":
+        return -y / (1.0 + np.exp(y * u))
+    return (y - u < 0.0) - oracle.spec.tau
+
+
+def rm_oracle_covariance(spec):
+    """Limiting covariance H⁻¹SH⁻¹ of the averaged exact-gradient
+    (Robbins–Monro) estimator, which AKW reaches at m = d without
+    replacement."""
+    h_inv = sym_inverse(models.analytic_hessian(spec), name="population curvature")
+    return sandwich(h_inv, models.analytic_gram(spec))
 
 
 def sample_batch(dist, mode, rng):
@@ -116,24 +141,19 @@ def multi_query_gradient(oracle, theta, zeta, h, directions):
     return g / directions.shape[0]
 
 
-def step(state, oracle, dist, mode, sched, rng, *, zeta=None, dir_batch=None, rm=False):
+def step(state, oracle, dist, mode, sched, rng, *, zeta=None, dir_batch=None):
     """One optimizer step: update the iterate and its running average.
 
     ``zeta`` and ``dir_batch`` replay pre-drawn randomness; by default they
-    are drawn from ``rng``. With ``rm`` the step is the exact-gradient
-    baseline's, ``ℓ'(x·θ; y)·x`` at one query.
+    are drawn from ``rng``.
     """
     n = state.n + 1
     if zeta is None:
         zeta = sample(oracle, rng)
-    if rm:
-        x, y = zeta
-        g, queries = oracle.linpred_grad(_u0(x, state.theta), y)[0] * x, 1
-    else:
-        if dir_batch is None:
-            dir_batch = sample_batch(dist, mode, rng)
-        g = multi_query_gradient(oracle, state.theta, zeta, sched.h(n), dir_batch)
-        queries = len(dir_batch) + 1
+    if dir_batch is None:
+        dir_batch = sample_batch(dist, mode, rng)
+    g = multi_query_gradient(oracle, state.theta, zeta, sched.h(n), dir_batch)
+    queries = len(dir_batch) + 1
     theta = state.theta - sched.eta(n) * g
     if not within_guard(theta):
         state.aborted = True

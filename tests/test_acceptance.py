@@ -246,7 +246,7 @@ def test_criterion_09_efficiency_ordering():
         }
     )
     wor_trace = empirical_trace(wor_cfg, block=256)
-    rm_trace = float(np.trace(models.rm_oracle_covariance(wor_cfg.model)))
+    rm_trace = float(np.trace(kw.rm_oracle_covariance(wor_cfg.model)))
     rel = abs(wor_trace - rm_trace) / rm_trace
     assert rel < 0.15, (wor_trace, rm_trace)
     report(

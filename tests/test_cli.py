@@ -86,6 +86,13 @@ def test_run_missing_and_invalid_config(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_run_rejects_a_name_that_leaves_the_output_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**CONFIG, "name": "../escaped"})
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "name must be one plain path component" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_sweep_runs_list(tmp_path, capsys):
     cfgs = [CONFIG, {**CONFIG, "seed": 6}]
     path = write_config(tmp_path, cfgs)

@@ -71,6 +71,34 @@ def test_parse_config_reports_every_bad_key():
         assert sum(f"{key} must be a number" in d for d in diags) == 1, (key, diags)
 
 
+# model.dim, directions.p and directions.m are converted one key at a time,
+# so a bad model hides neither the direction law's keys nor each other.
+def test_parse_config_reports_each_bad_model_and_law_key():
+    cfg, diags = sh.parse_config(
+        {"model": {"dim": 2.5}, "directions": {"kind": "nonuniform", "p": ["a"], "m": 1.5}}
+    )
+    assert cfg is None and len(diags) == 3, diags
+    for key in ("model.dim must be an integer", "directions.p entry must be a number",
+                "directions.m must be an integer"):
+        assert sum(key in d for d in diags) == 1, (key, diags)
+
+
+@pytest.mark.parametrize(
+    "name", ["", ".", "..", "../escaped", "a/b", "/abs", "a\0b"],
+    ids=["empty", "dot", "dotdot", "parent", "nested", "absolute", "nul"],
+)
+def test_name_must_be_one_plain_path_component(name):
+    cfg, diags = sh.parse_config(small_raw(name=name))
+    assert cfg is None and len(diags) == 1, diags
+    assert "name must be one plain path component" in diags[0]
+
+
+def test_algorithm_is_an_unknown_key():
+    cfg, diags = sh.parse_config(small_raw(algorithm="akw"))
+    assert cfg is None and len(diags) == 1
+    assert diags[0].startswith("config: unknown key 'algorithm'")
+
+
 def test_parse_config_unknown_top_level_key():
     cfg, diags = sh.parse_config(small_raw(extra=1))
     assert cfg is None and any("unknown key 'extra'" in d for d in diags)
@@ -215,7 +243,6 @@ PINNED_CONFIGS = [
         {"model": {"theta": [0.6, -0.8]}},
         {
             "name": "run",
-            "algorithm": "akw",
             "model": {"family": "linear", "theta": [0.6, -0.8], "sigma2": 0.2,
                       "tau": 0.5, "design": "identity", "rho": 0.2},
             "directions": {"kind": "spherical", "m": 1, "replacement": "with",
@@ -230,12 +257,11 @@ PINNED_CONFIGS = [
             "plugin": {"p": 1.0, "kappa1": 0.001, "every": 1},
             "checkpoints": [],
         },
-        "840e2e211572f5ed6e163c8e941d0dd8568b1528fea8a8f6f2d15523c627127e",
+        "7bf2d403231d9cc761acfb203eb6fc7904e9893c1a40f286127711df87bdc6c4",
     ),
     (
         {
             "name": "pinned",
-            "algorithm": "rm",
             "model": {"family": "quantile", "theta": [0.6, -0.8], "dim": 2, "sigma2": 0.5,
                       "tau": 0.25, "design": "equicorr", "rho": -0.3},
             "directions": {"kind": "orthonormal", "m": 2, "replacement": "without",
@@ -252,7 +278,6 @@ PINNED_CONFIGS = [
         },
         {
             "name": "pinned",
-            "algorithm": "rm",
             "model": {"family": "quantile", "theta": [0.6, -0.8], "sigma2": 0.5,
                       "tau": 0.25, "design": "equicorr", "rho": -0.3},
             "directions": {
@@ -273,7 +298,7 @@ PINNED_CONFIGS = [
             "plugin": {"p": 0.5, "kappa1": 0.01, "every": 3},
             "checkpoints": [100, 400],
         },
-        "738f62ec059a337e53e6626c812191d4cc112b37304cfe2c627fd38d1056ef1b",
+        "e9e05efefe54747c024173c3e02590a5b4753e28986d3347e99800f6ec9fd31d",
     ),
 ]
 
@@ -297,7 +322,7 @@ def test_recipes_are_frozen():
             pairs.append((name, sh.config_from_dict(r).config_hash))
     assert len(pairs) == 27
     digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
-    assert digest == "c3350e8ae34a61e9fd327b77e0f8600890210a24e0aa982e9176462d916d3a0b"
+    assert digest == "1fca61af81d64614ce5e531f188047041f212316811387cf847f3a3cc6e31370"
 
 
 def test_config_hash_ignores_dict_order_but_not_values():
@@ -337,7 +362,7 @@ def _replay(cfg, rep):
     for i in range(cfg.n):
         kw.step(
             state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
-            zeta=(x[i], y[i]), dir_batch=v[i], rm=cfg.algorithm == "rm",
+            zeta=(x[i], y[i]), dir_batch=v[i],
         )
         yield state
 
@@ -361,13 +386,13 @@ REPLAY_DIRECTIONS = {
 
 
 # The reference evaluates every loss and gradient through the engine's
-# expressions, so the iterates agree to the bit; rm steps ignore directions.
-@pytest.mark.parametrize("algorithm", sh.ALGORITHMS)
-@pytest.mark.parametrize("family", models.FAMILIES)
+# expressions, so the iterates agree to the bit. The case ids end in "-akw",
+# the step they replay.
+@pytest.mark.parametrize("family", models.FAMILIES, ids=lambda f: f"{f}-akw")
 @pytest.mark.parametrize(
     "directions", list(REPLAY_DIRECTIONS.values()), ids=list(REPLAY_DIRECTIONS)
 )
-def test_vectorized_engine_matches_scalar_replay(family, directions, algorithm):
+def test_vectorized_engine_matches_scalar_replay(family, directions):
     cfg = sh.config_from_dict(
         small_raw(
             model={"family": family, "theta": [0.6, -0.8]},
@@ -375,7 +400,6 @@ def test_vectorized_engine_matches_scalar_replay(family, directions, algorithm):
             replications=3,
             inference=["oracle"],
             directions=directions,
-            algorithm=algorithm,
         )
     )
     st = sh.replication_states(cfg)
@@ -648,8 +672,8 @@ SPLITS = ([6], [3, 3], [2, 1, 3], [1] * 6)
 @pytest.mark.parametrize("family", models.FAMILIES)
 @pytest.mark.parametrize("d", [1, 7, 20])
 def test_records_do_not_depend_on_chunk_split(family, d):
-    for (dname, directions), (pname, plugin), algorithm in itertools.product(
-        SPLIT_DIRECTIONS.items(), SPLIT_PLUGINS.items(), sh.ALGORITHMS
+    for (dname, directions), (pname, plugin) in itertools.product(
+        SPLIT_DIRECTIONS.items(), SPLIT_PLUGINS.items()
     ):
         directions = dict(directions, m=min(directions.get("m", 1), d))
         cfg = sh.config_from_dict(
@@ -659,10 +683,9 @@ def test_records_do_not_depend_on_chunk_split(family, d):
                 n=40,
                 checkpoints=[17],
                 plugin=plugin,
-                algorithm=algorithm,
             )
         )
-        c_true = sh._oracle_truth(cfg)
+        c_true = models.oracle_covariance(cfg.model, cfg.dist, cfg.mode)
         c_norm = sh.spectral_norm(c_true)
         runs = []
         for sizes in SPLITS:
@@ -682,7 +705,7 @@ def test_records_do_not_depend_on_chunk_split(family, d):
             }
             runs.append((sizes, records, cps, states))
         _, records0, cps0, states0 = runs[0]
-        case = f"{dname} {pname} {algorithm}"
+        case = f"{dname} {pname}"
         assert cps0, case
         for sizes, records, cps, states in runs[1:]:
             assert records == records0, (case, sizes)
@@ -754,12 +777,13 @@ def test_cold_logistic_truth_then_workers_write_identical_files(monkeypatch, tmp
 _COLD_CHUNK_FAULTS = """
 import resource
 import numpy as np
+from akwinfer import models
 from akwinfer import simharness as sh
 cfg = sh.config_from_dict({
     "model": {"family": "linear", "dim": 20}, "directions": {"kind": "canonical"},
     "n": 200, "replications": 50, "seed": 1,
 })
-c_true = sh._oracle_truth(cfg)
+c_true = models.oracle_covariance(cfg.model, cfg.dist, cfg.mode)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sh._run_chunk(cfg, np.arange(50), c_true, sh.spectral_norm(c_true))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -804,7 +828,7 @@ def test_fold_computes_into_its_work_arrays(monkeypatch, family, d, n, plugin):
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
     monkeypatch.setattr(sh._StepGroup, "fold", traced_fold)
-    c_true = sh._oracle_truth(cfg)
+    c_true = models.oracle_covariance(cfg.model, cfg.dist, cfg.mode)
     try:
         sh._run_chunk(cfg, np.arange(50), c_true, sh.spectral_norm(c_true))
     finally:
@@ -1001,27 +1025,6 @@ def test_aborts_are_counted_without_inference_records():
     assert report.records == []
     assert report.summary["aborted"] == 4
     assert report.summary["replications"] == 4
-
-
-def test_rm_baseline_beats_kw_variance():
-    raw = small_raw(n=4000, replications=20, inference=["oracle"],
-                    directions={"kind": "gaussian"})
-    cfg = sh.config_from_dict(raw)
-    akw = sh.run_experiment(cfg)
-    rm = sh.run_experiment(sh.config_from_dict(dict(raw, name="t-rm", algorithm="rm")))
-    assert rm.config.algorithm == "rm"
-    assert rm.run_id.startswith("t-rm-")
-    assert (
-        rm.summary["methods"]["oracle"]["est_error_mean"]
-        < akw.summary["methods"]["oracle"]["est_error_mean"]
-    )
-    assert (
-        rm.summary["oracle_covariance_trace"]
-        < akw.summary["oracle_covariance_trace"]
-    )
-    # RM consumes one query per step, AKW m+1
-    assert rm.records[0].queries == cfg.n
-    assert akw.records[0].queries == 2 * cfg.n
 
 
 def test_sweep_rejects_duplicates_and_handles_empty():

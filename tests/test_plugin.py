@@ -9,7 +9,14 @@ from akwinfer.plugin_inference import (
     plugin_covariance,
     z_quantile,
 )
-from reference import HessianAccumulator, hessian_entry_block, loss, loss_batch, sample
+from reference import (
+    HessianAccumulator,
+    hessian_entry_block,
+    linpred_grad,
+    loss,
+    loss_batch,
+    sample,
+)
 
 
 class QuadraticOracle:
@@ -83,7 +90,7 @@ def test_entry_block_matches_theta_space_probe(family):
         x, y = zeta
         du = 2 * (d + 2) * eps * (np.abs(x) * (np.abs(theta) + 2 * h)).sum()
         points = np.concatenate([theta[None], theta + h * eye, pairs])
-        lipschitz = np.abs(oracle.linpred_grad(points @ x, y)).max() + 2 * du
+        lipschitz = np.abs(linpred_grad(oracle, points @ x, y)).max() + 2 * du
         big = max(abs(f0), np.abs(fs).max(), np.abs(fp).max())
         tol = (4 * (lipschitz * du + 2 * eps * big) + 3 * eps * 4 * big) / (h * h)
         assert np.abs(block - want).max() <= tol
