@@ -57,8 +57,8 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
         theta = np.asarray(self.theta_star, dtype=float)
-        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-            raise ValueError("theta_star must be a finite vector")
+        if theta.ndim != 1 or not theta.size or not np.all(np.isfinite(theta)):
+            raise ValueError("theta_star must be a nonempty finite vector")
         object.__setattr__(self, "theta_star", theta)
         if self.family != "logistic" and self.sigma2 <= 0.0:
             raise ValueError("noise variance must be positive")

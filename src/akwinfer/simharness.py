@@ -21,8 +21,8 @@ The engine runs in two phases over (C, ...) arrays with one row per
 replication. Per step it runs only the averaged Kiefer–Wolfowitz
 recurrence (u0, then f0 and the direction losses in one loss call, the
 gradient, the θ update, the divergence guard and θ̄) and records the
-gradient, θ̄ and the probe inputs. The tape holds a basis law's
-directions as (C, B, m) row indices. For the coordinate laws (√d·e_k and
+gradient, θ̄ and, every step, the probe inputs. The tape holds a basis
+law's directions as (C, B, m) row indices. For the coordinate laws (√d·e_k and
 e_k/√p_k) the step gathers x·v = x_k·s_k and scatters the gradient's
 coeff·s_k; orthonormal rows, and gaussian and spherical vectors, go
 through the dense contraction. Both give the dense tape's values bit for
@@ -147,15 +147,12 @@ class Schedules:
 class PluginSettings:
     p: float = 1.0
     kappa1: float = 1e-3
-    every: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError("plugin.p must lie in (0, 1]")
         if self.kappa1 <= 0.0:
             raise ValueError("plugin.kappa1 must be positive")
-        if self.every < 1:
-            raise ValueError("plugin.every must be a positive integer")
 
 
 @dataclass
@@ -288,7 +285,13 @@ def _reals(values, key: str) -> np.ndarray:
 
 
 def _text(value, key: str) -> str:
-    """``value`` as ``str`` spells it, so ``--override name=7`` names a run "7"."""
+    """``value``, a string or a number, as ``str`` spells it, so ``--override
+    name=7`` names a run "7". Anything else is a ValueError naming ``key``;
+    ``str()`` would name a run "None" or "True"."""
+    if isinstance(value, bool) or not isinstance(
+        value, (str, int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{key} must be a string or a number, got {value!r}")
     return str(value)
 
 
@@ -591,7 +594,6 @@ class _ChunkState:
         self.queries = np.zeros(c, dtype=np.int64)
         self.gram = np.zeros((c, d, d))
         self.hess = np.zeros((c, d, d))
-        self.hess_count = np.zeros(c, dtype=np.int64)
         # the random-scaling sums of i²(w·θ̄)², i²(w·θ̄) and i² in columns
         # a, b, s, and their Kahan compensations
         self.sc = np.zeros((c, 3))
@@ -619,10 +621,9 @@ def _method_records(
         for method in cfg.inference:
             cov_error = ci = None
             if n_j >= 1 and not aborted:
-                if method == "plugin" and st.hess_count[j] >= 1:
-                    cov = plugin_covariance(
-                        st.hess[j] / st.hess_count[j], st.gram[j] / n_j, cfg.plugin.kappa1
-                    )
+                if method == "plugin":
+                    cov = plugin_covariance(st.hess[j] / n_j, st.gram[j] / n_j,
+                                            cfg.plugin.kappa1)
                     cov_error = spectral_norm(cov - c_true) / c_norm
                     ci = plugin_ci(st.theta_bar[j], cov, w, n_j, cfg.level)
                 elif method == "random_scaling":
@@ -704,15 +705,15 @@ class _StepGroup:
     """What the recurrence leaves behind over one group of steps.
 
     The step loop records each step's gradient (zero once a replication has
-    stopped) and θ̄ and, at curvature-probe steps, x, y, u0, f0, h and the
-    entry mask. ``fold`` adds the Gram, the curvature probe, the three
-    random-scaling sums of w·θ̄, the queries and n_done to the chunk state in
-    a few batched operations. The Gram and the probe are laid out pair-major,
-    (pairs, steps, C). A replication is live after step i while
-    ``i < abort_step``. The fold computes into flat work arrays allocated
-    once per chunk, through C-contiguous views (``_view``). Every expression
-    keeps its operands and their order, so the bits are those of fresh
-    temporaries.
+    stopped), θ̄ and the curvature probe's inputs x, y, u0, f0, h and entry
+    mask: the probe runs every step. ``fold`` adds the Gram, the curvature
+    probe, the three random-scaling sums of w·θ̄, the queries and n_done to
+    the chunk state in a few batched operations. The Gram and the probe are
+    laid out pair-major, (pairs, steps, C). A replication is live after step
+    i while ``i < abort_step``. The fold computes into flat work arrays
+    allocated once per chunk, through C-contiguous views (``_view``). Every
+    expression keeps its operands and their order, so the bits are those of
+    fresh temporaries.
     """
 
     def __init__(self, cfg: ExperimentConfig, oracle: models.LossOracle, c: int):
@@ -721,7 +722,7 @@ class _StepGroup:
         pairs = self.ends.shape[1] if "plugin" in cfg.inference else 0
         size = max(1, FOLD_BUDGET // (pairs + d))
         self.cfg, self.oracle, self.size, self.c = cfg, oracle, size, c
-        self.start = self.steps = self.probes = 0
+        self.start = self.steps = 0
         self.grads = self.mask = self.theta_bar = None
         if "plugin" in cfg.inference:
             # coordinates first, for the pair gather
@@ -736,17 +737,14 @@ class _StepGroup:
             self.theta_bar = np.empty((size, c, d))
             self.terms = np.empty(3 * size * c)
 
-    def record(self, i, st, g, x, y, u0, f0, h, mask) -> None:
+    def record(self, st, g, x, y, u0, f0, h, mask) -> None:
         s = self.steps
         self.steps += 1
         if self.grads is not None:
             self.grads[:, s] = g.T
-            if i % self.cfg.plugin.every == 0:
-                q = self.probes
-                self.probes += 1
-                self.h[q], self.x[:, q], self.y[q], self.u0[q], self.f0[q] = h, x.T, y, u0, f0
-                if self.mask is not None:
-                    self.mask[q] = mask
+            self.h[s], self.x[:, s], self.y[s], self.u0[s], self.f0[s] = h, x.T, y, u0, f0
+            if self.mask is not None:
+                self.mask[s] = mask
         if self.theta_bar is not None:
             self.theta_bar[s] = st.theta_bar
 
@@ -763,8 +761,7 @@ class _StepGroup:
             gg = _view(self.raw, 2, self.ends.shape[1], k, c)
             np.take(self.grads[:, :k], self.ends, axis=0, out=gg, mode="clip")
             st.gram += _step_sum(np.multiply(gg[0], gg[1], out=gg[0]), 1).T[:, self.pair]
-            if self.probes:
-                self._fold_probe(st, live[steps % self.cfg.plugin.every == 0])
+            self._fold_probe(st, live)
         if self.theta_bar is not None:
             i = steps.astype(float)
             w_i = (i * i)[:, None]
@@ -777,8 +774,8 @@ class _StepGroup:
             st.sc, st.sc_c = kahan_add(st.sc, st.sc_c, live_sum.T)
 
     def _fold_probe(self, st: _ChunkState, live: np.ndarray) -> None:
-        """Four-point curvature of the group's q probe steps; ``live`` is (q, C)."""
-        q, self.probes = self.probes, 0
+        """Four-point curvature of the group's q steps; ``live`` is (q, C)."""
+        q = len(live)
         oracle, ends = self.oracle, self.ends
         d, pairs, c = len(self.pair), ends.shape[1], self.c
         h, xt, y, u0, f0 = self.h[:q], self.x[:, :q], self.y[:q], self.u0[:q], self.f0[:q]
@@ -800,7 +797,6 @@ class _StepGroup:
         sym = np.multiply(0.5, np.add(raw[0], raw[1], out=fe[0]), out=fe[0])
         np.copyto(sym, 0.0, where=~live)
         st.hess += _step_sum(sym, 1).T[:, self.pair]
-        st.hess_count += live.sum(axis=0)
         st.queries += np.where(live, 1 + 2 * d + sampled, 0).sum(axis=0)
 
 
@@ -927,7 +923,7 @@ def _run_chunk(
             if not all_live:
                 theta_bar = np.where(act[:, None], theta_bar, st.theta_bar)
             st.theta_bar = theta_bar
-            group.record(i, st, g, x, y, u0, f[:, 0], h, None if masks is None else masks[:, t])
+            group.record(st, g, x, y, u0, f[:, 0], h, None if masks is None else masks[:, t])
             at_mark = bool(marks) and i == marks[0]
             if at_mark or stopped or i % group.size == 0 or i == cfg.n:
                 group.fold(st)
@@ -938,7 +934,7 @@ def _run_chunk(
                 )
             if stopped:
                 break
-    # A stopped chunk's θ̄, n_done, queries and probe counts no longer move,
+    # A stopped chunk's θ̄, n_done, queries and sums no longer move,
     # so its remaining checkpoints read the frozen state, each with its n.
     for mark in marks:
         checkpoint_records.extend(_method_records(cfg, st, c_true, c_norm, checkpoint_n=mark))

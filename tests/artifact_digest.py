@@ -64,7 +64,7 @@ INFERENCE = (
     {"inference": []},
     {"inference": ["plugin"], "plugin": {"p": 0.6}},
     {"inference": ["random_scaling", "oracle"]},
-    {"inference": ["plugin", "random_scaling", "oracle"], "plugin": {"every": 2}},
+    {"inference": ["plugin", "random_scaling", "oracle"]},
 )
 HALF = {"inference": ["plugin"], "plugin": {"p": 0.5}}
 BASE = {"name": "digest", "n": 160, "replications": 5, "seed": 3, "checkpoints": [80]}

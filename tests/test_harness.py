@@ -93,10 +93,40 @@ def test_name_must_be_one_plain_path_component(name):
     assert "name must be one plain path component" in diags[0]
 
 
+# A name that is not a string or a number fails; a number is spelled as str does.
+@pytest.mark.parametrize("name", [None, [1, 2], True, {"a": 1}],
+                         ids=["null", "list", "bool", "object"])
+def test_name_must_be_a_string_or_a_number(name):
+    cfg, diags = sh.parse_config(small_raw(name=name))
+    assert cfg is None
+    assert diags == [f"config: name must be a string or a number, got {name!r}"]
+
+
+def test_a_numeric_name_is_spelled_as_str_spells_it():
+    assert sh.config_from_dict(small_raw(name=7)).run_id.startswith("7-")
+    assert sh.config_from_dict(small_raw(name=7.5)).name == "7.5"
+
+
+@pytest.mark.parametrize("model", [{"theta": []}, {"dim": 0}], ids=["theta", "dim"])
+def test_a_zero_dimensional_model_is_a_model_violation(model):
+    cfg, diags = sh.parse_config(small_raw(model=dict(model, family="linear")))
+    assert cfg is None
+    assert any(d.startswith("model: ") and "nonempty" in d for d in diags), diags
+
+
 def test_algorithm_is_an_unknown_key():
     cfg, diags = sh.parse_config(small_raw(algorithm="akw"))
     assert cfg is None and len(diags) == 1
     assert diags[0].startswith("config: unknown key 'algorithm'")
+
+
+def test_plugin_every_is_an_unknown_key():
+    cfg, diags = sh.parse_config(small_raw(plugin={"every": 1}))
+    assert cfg is None and len(diags) == 1
+    assert diags[0].startswith("plugin: unknown key 'every'")
+    with pytest.raises(sh.ConfigError, match="plugin: unknown key 'every'"):
+        sh.config_from_dict(small_raw(plugin={"every": 1}))
+    assert set(sh.config_from_dict(small_raw()).resolved()["plugin"]) == {"p", "kappa1"}
 
 
 def test_parse_config_unknown_top_level_key():
@@ -134,7 +164,6 @@ def test_parse_config_theta_dim_contradiction_and_dim_seed():
         ("model.theta_seed", {"model": {"family": "linear", "dim": 2, "theta_seed": "7"}}),
         ("directions.m", {"directions": {"kind": "canonical", "m": 1.6}}),
         ("directions.basis_seed", {"directions": {"kind": "orthonormal", "basis_seed": 0.5}}),
-        ("plugin.every", {"plugin": {"every": True}}),
     ],
 )
 def test_parse_config_rejects_non_integer_counts(key, overrides):
@@ -254,10 +283,10 @@ PINNED_CONFIGS = [
             "level": 0.95,
             "w": [0.7071067811865475, 0.7071067811865475],
             "inference": ["plugin", "random_scaling", "oracle"],
-            "plugin": {"p": 1.0, "kappa1": 0.001, "every": 1},
+            "plugin": {"p": 1.0, "kappa1": 0.001},
             "checkpoints": [],
         },
-        "7bf2d403231d9cc761acfb203eb6fc7904e9893c1a40f286127711df87bdc6c4",
+        "f36ee09be923246050763101b77de80f3f532d223689f961a47567469d130225",
     ),
     (
         {
@@ -267,7 +296,7 @@ PINNED_CONFIGS = [
             "directions": {"kind": "orthonormal", "m": 2, "replacement": "without",
                            "basis_seed": 3},
             "schedules": {"eta0": 0.05, "alpha": 0.6, "h0": 0.2, "gamma": 0.8},
-            "plugin": {"p": 0.5, "kappa1": 0.01, "every": 3},
+            "plugin": {"p": 0.5, "kappa1": 0.01},
             "n": 500,
             "replications": 7,
             "seed": 9,
@@ -295,10 +324,10 @@ PINNED_CONFIGS = [
             "level": 0.9,
             "w": [1.0, 2.0],
             "inference": ["random_scaling", "oracle"],
-            "plugin": {"p": 0.5, "kappa1": 0.01, "every": 3},
+            "plugin": {"p": 0.5, "kappa1": 0.01},
             "checkpoints": [100, 400],
         },
-        "e9e05efefe54747c024173c3e02590a5b4753e28986d3347e99800f6ec9fd31d",
+        "787000b5a47494102bd349fce83eba157c05c3c5af1668da213b0b518726ae00",
     ),
 ]
 
@@ -322,7 +351,7 @@ def test_recipes_are_frozen():
             pairs.append((name, sh.config_from_dict(r).config_hash))
     assert len(pairs) == 27
     digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
-    assert digest == "1fca61af81d64614ce5e531f188047041f212316811387cf847f3a3cc6e31370"
+    assert digest == "597c8a1e78bde6f9ae742cf694a81e8d075d18fdc867326c2f7f3b4718f551bf"
 
 
 def test_config_hash_ignores_dict_order_but_not_values():
@@ -484,8 +513,6 @@ def test_projected_scaling_interval_matches_full_matrix(w):
     [
         pytest.param({"p": 1.0}, id="1.0"),
         pytest.param({"p": 0.5}, id="0.5"),
-        pytest.param({"p": 1.0, "every": 3}, id="1.0-every3"),
-        pytest.param({"p": 0.5, "every": 3}, id="0.5-every3"),
     ],
 )
 def test_vectorized_curvature_matches_scalar_replay(monkeypatch, family, plugin):
@@ -510,16 +537,15 @@ def test_vectorized_curvature_matches_scalar_replay(monkeypatch, family, plugin)
         terms, probe_queries = [], 0
         for i in range(cfg.n):
             zeta = (x[i], y[i])
-            if (i + 1) % cfg.plugin.every == 0:
-                g, _, _ = hessian_entry_block(oracle, state.theta, zeta, cfg.sched.h(i + 1))
-                acc.accumulate_block(np.where(mask[i], g, 0.0), mask[i])
-                terms.append(0.5 * (acc.block + acc.block.T))
-                probe_queries += 1 + 2 * d + int(mask[i].sum())
+            g, _, _ = hessian_entry_block(oracle, state.theta, zeta, cfg.sched.h(i + 1))
+            acc.accumulate_block(np.where(mask[i], g, 0.0), mask[i])
+            terms.append(0.5 * (acc.block + acc.block.T))
+            probe_queries += 1 + 2 * d + int(mask[i].sum())
             kw.step(
                 state, oracle, cfg.dist, cfg.mode, cfg.sched, rng,
                 zeta=zeta, dir_batch=v[i],
             )
-        assert acc.count == st.hess_count[rep]
+        assert acc.count == st.n_done[rep]
         assert np.array_equal(state.theta_bar, st.theta_bar[rep])
         assert state.query_count + probe_queries == st.queries[rep]
         _assert_sums_match(acc.running_sum, st.hess[rep], terms)
@@ -601,7 +627,7 @@ def test_records_do_not_depend_on_block(monkeypatch, p):
     (st0, report0), *others = runs
     assert report0.checkpoint_records
     for st, report in others:
-        for name in ("theta_bar", "gram", "hess", "hess_count", "sc", "queries", "n_done"):
+        for name in ("theta_bar", "gram", "hess", "sc", "queries", "n_done"):
             assert np.array_equal(getattr(st, name), getattr(st0, name)), name
         assert report.records == report0.records
         assert report.checkpoint_records == report0.checkpoint_records

@@ -29,6 +29,8 @@ def test_spec_validation():
         models.ModelSpec("quantile", np.ones(2), tau=1.5)
     with pytest.raises(ValueError):
         models.ModelSpec("linear", np.ones(3), design="equicorr", rho=-0.9)
+    with pytest.raises(ValueError, match="nonempty"):
+        models.ModelSpec("linear", np.array([]))
 
 
 def test_design_cov_equicorr():
