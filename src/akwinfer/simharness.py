@@ -60,7 +60,7 @@ import operator
 import os
 import statistics
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -208,7 +208,8 @@ class ExperimentConfig:
         """Canonical JSON-serializable form; the config hash is taken over it.
         The model section is the ``ModelSpec`` with ``theta_star`` named
         ``theta``; the directions section is the law's kind, the
-        ``QueryMode`` and the law's basis and probabilities."""
+        ``QueryMode`` and the law's basis and probabilities. ``parse_config``
+        reads this form back to the same config."""
         model = asdict(self.model)
         model["theta"] = model.pop("theta_star").tolist()
         u, p = self.dist.u, self.dist.p
@@ -245,7 +246,7 @@ class ExperimentConfig:
 # -- config parsing ------------------------------------------------------
 
 
-def _check_keys(section: dict, allowed: set[str], where: str, diags: list[str]):
+def _check_keys(section: dict, allowed: Collection[str], where: str, diags: list[str]):
     for key in section:
         if key not in allowed:
             diags.append(f"{where}: unknown key {key!r} (allowed: {sorted(allowed)})")
@@ -284,6 +285,15 @@ def _reals(values, key: str) -> np.ndarray:
     return np.array(_list(values, key, _real, "numbers"), dtype=float)
 
 
+def _matrix(values, key: str) -> np.ndarray:
+    """A list of equal-length lists of numbers as a float matrix, each row
+    through ``_reals`` as ``<key> row``."""
+    rows = _list(values, key, lambda row, _: _reals(row, f"{key} row"), "lists of numbers")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{key} rows must all have one length")
+    return np.array(rows, dtype=float)
+
+
 def _text(value, key: str) -> str:
     """``value``, a string or a number, as ``str`` spells it, so ``--override
     name=7`` names a run "7". Anything else is a ValueError naming ``key``;
@@ -295,7 +305,8 @@ def _text(value, key: str) -> str:
     return str(value)
 
 
-# A dataclass field's conversion, by its annotation
+# A config value's conversion, by its annotation (a dataclass field's, or
+# the one _SECTIONS gives it); a "| None" value of None is absent
 _CONVERT = {
     "float": _real,
     "int": _integer,
@@ -303,150 +314,123 @@ _CONVERT = {
     "tuple[str, ...]": lambda v, key: tuple(_list(v, key, _text, "names")),
     "tuple[int, ...]": lambda v, key: tuple(_list(v, key, _integer, "integers")),
     "np.ndarray | None": lambda v, key: None if v is None else _reals(v, key),
+    "matrix | None": lambda v, key: None if v is None else _matrix(v, key),
     "int | None": lambda v, key: None if v is None else _integer(v, key),
 }
+
+# A value that did not convert and whose default is to be absent, so that
+# there is no default to take: a section given one is not built
+_MISSING = object()
 
 
 def _convert(raw: dict, types: dict[str, str], where: str, diags: list[str]) -> dict:
     """The keys of ``types`` that ``raw`` sets, in ``types`` order, each
-    converted by its annotation in ``types`` through ``_CONVERT``; a key
-    whose annotation has no entry there, such as a section already parsed,
-    is taken as given. Each value that does not convert appends one
-    violation to ``diags``, its key named ``where.key`` (``key`` at the top
-    level, where ``where`` is "config"). A key ``raw`` leaves out, or whose
-    value does not convert, is left out, so it takes its default."""
+    converted by its annotation in ``types`` through ``_CONVERT``. Each value
+    that does not convert appends one violation to ``diags``, its key named
+    ``where.key`` (``key`` at the top level, where ``where`` is "config"),
+    and takes its default: it is left out, or is ``_MISSING`` if its
+    annotation ends in "| None"."""
     given = {}
     for name, annotation in types.items():
         if name in raw:
             key = name if where == "config" else f"{where}.{name}"
             try:
-                given[name] = _CONVERT.get(annotation, lambda v, _: v)(raw[name], key)
+                given[name] = _CONVERT[annotation](raw[name], key)
             except ValueError as exc:
                 diags.append(f"{where}: {exc}")
+                if annotation.endswith("| None"):
+                    given[name] = _MISSING
     return given
 
 
-def _given(cls, raw: dict, where: str, diags: list[str], names=None) -> dict:
-    """``_convert`` over the fields of the dataclass ``cls`` (of ``names``
-    only, if given), each by its annotation."""
-    types = {f.name: f.type for f in fields(cls) if names is None or f.name in names}
-    return _convert(raw, types, where, diags)
-
-
-def _attempt(fn, where: str, diags: list[str], **kwargs):
-    """``fn(**kwargs)``; None if it raises a ValueError or TypeError, which
-    is appended to ``diags`` as a violation of ``where``."""
-    try:
-        return fn(**kwargs)
-    except (ValueError, TypeError) as exc:
-        diags.append(f"{where}: {exc}")
-        return None
-
-
-def _object(raw: dict, where: str, diags: list[str]) -> dict | None:
-    """The config section ``raw[where]``, {} if it is absent; None if it is
-    not a JSON object, with a violation naming the section in ``diags``."""
-    section = raw.get(where, {})
-    if isinstance(section, dict):
-        return section
-    diags.append(f"{where}: must be a JSON object, got {section!r}")
-    return None
-
-
-def _section(cls, raw: dict, where: str, diags: list[str]):
-    """The config section ``raw[where]`` as the dataclass ``cls``, whose
-    fields are the section's keys; None if it is invalid, with the
-    violations appended to ``diags``."""
-    section = _object(raw, where, diags)
-    if section is None:
-        return None
-    _check_keys(section, {f.name for f in fields(cls)}, where, diags)
-    return _attempt(cls, where, diags, **_given(cls, section, where, diags))
-
-
-def _theta(theta=None, dim=None, theta_seed=2024) -> np.ndarray:
-    """The model's true parameter: ``theta``, else a seeded point of the
-    unit sphere in ``dim`` dimensions."""
+def _model(family="linear", theta=None, dim=None, theta_seed=2024, **rest):
+    """The model; its true parameter is ``theta``, else a seeded point of
+    the unit sphere in ``dim`` dimensions."""
     if theta is None:
         if dim is None:
             raise ValueError("model needs 'theta' or 'dim'")
-        return models.theta_on_unit_sphere(dim, theta_seed)
-    if dim is not None and len(theta) != dim:
+        if dim < 1:
+            raise ValueError(f"model.dim must be positive, for a nonempty theta; got {dim}")
+        theta = models.theta_on_unit_sphere(dim, theta_seed)
+    elif dim is not None and len(theta) != dim:
         raise ValueError("model.theta length contradicts model.dim")
-    return theta
+    return models.ModelSpec(family=family, theta_star=theta, **rest)
 
 
-def _law(kind, dim, p=None, basis_seed=None) -> dirs.DirectionDistribution:
-    """The direction law; an orthonormal one's basis is drawn from
-    ``basis_seed`` if it is given, and is the identity otherwise."""
-    u = None
+def _directions(model, kind="spherical", basis=None, p=None, basis_seed=None, **mode):
+    """The direction law and the query mode, checked against each other. An
+    orthonormal law's basis is ``basis``, else drawn from ``basis_seed``,
+    else the identity."""
+    if basis is not None and basis_seed is not None:
+        raise ValueError("give directions.basis or directions.basis_seed, not both")
     if kind == "orthonormal" and basis_seed is not None:
-        u = dirs.random_orthonormal(dim, basis_seed)
-    return dirs.DirectionDistribution(kind=kind, dim=dim, u=u, p=p)
+        basis = dirs.random_orthonormal(model.dim, basis_seed)
+    mode = dirs.QueryMode(**mode)
+    dist = dirs.DirectionDistribution(kind=kind, dim=model.dim, u=basis, p=p)
+    dirs._check_mode(dist, mode)
+    return dist, mode
+
+
+# Each config section's builder and its keys, each with the annotation that
+# converts it: the keys that resolved() writes, and the seeded shorthands
+# model.dim, model.theta_seed and directions.basis_seed
+_SECTIONS = {
+    "model": (_model, {"family": "str", "theta": "np.ndarray | None", "sigma2": "float",
+                       "tau": "float", "design": "str", "rho": "float",
+                       "dim": "int | None", "theta_seed": "int"}),
+    "directions": (_directions, {"kind": "str", "m": "int", "replacement": "str",
+                                 "basis": "matrix | None", "p": "np.ndarray | None",
+                                 "basis_seed": "int | None"}),
+    "schedules": (Schedules, {f.name: f.type for f in fields(Schedules)}),
+    "plugin": (PluginSettings, {f.name: f.type for f in fields(PluginSettings)}),
+}
+
+# The top-level keys: ExperimentConfig's fields other than the built sections
+_TOP = {f.name: f.type for f in fields(ExperimentConfig) if f.type in _CONVERT}
 
 
 def parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Strict config parse; returns (config-or-None, list of violations).
-    Every section and top-level key is checked, and each bad key leaves its
-    own violation. The one exception: a bad ``model.theta``, ``dim`` or
-    ``theta_seed`` leaves the checks of the direction law that need the
-    model's dimension undone (its kind, the length, sign and sum of
-    ``directions.p``, and sampling without replacement), though every
-    direction key is still converted. Values are converted by ``_convert``,
-    and a key left out takes its dataclass default; only ``model.family``,
-    ``model.theta_seed`` and ``directions.kind`` have their defaults here."""
+    A section's keys are those ``_SECTIONS`` lists, so a config that
+    ``resolved()`` wrote parses back to the same config. Every section and
+    top-level key is checked, and each bad key leaves its own violation. A
+    value is converted by ``_convert``; one that does not convert, or is
+    left out, takes its default, and its section is still built and
+    range-checked. The one exception: a section is built only from values
+    it can build from. A bad ``model.theta`` or ``model.dim`` leaves the
+    model unbuilt; a bad ``directions.basis``, ``p`` or ``basis_seed``, or
+    a model that was not built, since the direction law needs its
+    dimension, leaves the directions unbuilt. An unbuilt section's keys are
+    still converted, but its range checks do not run. Only
+    ``model.family``, ``model.theta_seed`` and ``directions.kind`` have
+    their defaults here."""
     diags: list[str] = []
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
-    top = {f.name for f in fields(ExperimentConfig)} - {"dist", "mode", "sched"}
-    _check_keys(raw, top | {"directions", "schedules"}, "config", diags)
-
-    mraw = _object(raw, "model", diags)
-    model = theta = None
-    if mraw is not None:
-        _check_keys(
-            mraw,
-            {"family", "dim", "theta", "theta_seed", "sigma2", "tau", "design", "rho"},
-            "model",
-            diags,
-        )
-        rest = _given(models.ModelSpec, mraw, "model", diags,
-                      ("sigma2", "tau", "design", "rho"))
-        count = len(diags)
-        shape = _convert(mraw, {"theta": "np.ndarray | None", "dim": "int",
-                                "theta_seed": "int"}, "model", diags)
-        if len(diags) == count:
-            theta = _attempt(_theta, "model", diags, **shape)
-        if theta is not None:
-            model = _attempt(models.ModelSpec, "model", diags,
-                             family=mraw.get("family", "linear"), theta_star=theta, **rest)
-
-    draw = _object(raw, "directions", diags)
-    dist = mode = None
-    if draw is not None:
-        _check_keys(
-            draw, {"kind", "m", "replacement", "p", "basis_seed"}, "directions", diags
-        )
-        mode = _attempt(dirs.QueryMode, "directions", diags,
-                        **_given(dirs.QueryMode, draw, "directions", diags))
-        count = len(diags)
-        law = _convert(draw, {"p": "np.ndarray | None", "basis_seed": "int | None"},
-                       "directions", diags)
-        if theta is not None and len(diags) == count:
-            dist = _attempt(_law, "directions", diags,
-                            kind=draw.get("kind", "spherical"), dim=len(theta), **law)
-        if dist is not None and mode is not None:
-            _attempt(dirs._check_mode, "directions", diags, dist=dist, mode=mode)
-
-    sched = _section(Schedules, raw, "schedules", diags)
-    plugin = _section(PluginSettings, raw, "plugin", diags)
-
-    parsed = {"model": model, "dist": dist, "mode": mode, "sched": sched, "plugin": plugin}
-    given = _given(ExperimentConfig, {**raw, **parsed}, "config", diags)
-    if diags:  # every section that failed to parse left a violation
+    _check_keys(raw, _TOP.keys() | _SECTIONS.keys(), "config", diags)
+    built = {}
+    for where, (build, types) in _SECTIONS.items():
+        section = raw.get(where, {})
+        if not isinstance(section, dict):
+            diags.append(f"{where}: must be a JSON object, got {section!r}")
+            continue
+        _check_keys(section, types, where, diags)
+        values = _convert(section, types, where, diags)
+        if where == "directions":  # the direction law needs the model's dimension
+            values["model"] = built.get("model", _MISSING)
+        if any(v is _MISSING for v in values.values()):
+            continue
+        try:
+            built[where] = build(**values)
+        except (ValueError, TypeError) as exc:
+            diags.append(f"{where}: {exc}")
+    given = _convert(raw, _TOP, "config", diags)
+    if diags:  # every section that was not built left a violation
         return None, diags
+    dist, mode = built["directions"]
     try:
-        cfg = ExperimentConfig(**given)
+        cfg = ExperimentConfig(model=built["model"], dist=dist, mode=mode,
+                               sched=built["schedules"], plugin=built["plugin"], **given)
     except (ValueError, TypeError) as exc:
         diags.append(str(exc))
         return None, diags

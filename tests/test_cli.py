@@ -161,6 +161,27 @@ def test_validate_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().out
 
 
+# The config.resolved.json a run writes is a valid input, and rerunning it
+# writes the same files, an orthonormal law's basis included.
+def test_a_written_config_reruns_to_identical_files(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        **CONFIG, "directions": {"kind": "orthonormal", "basis_seed": 4}, "checkpoints": [100],
+    })
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", cfg, "--output-dir", str(first)]) == 0
+    (run_dir,) = os.listdir(first)
+    written = str(first / run_dir / "config.resolved.json")
+    assert main(["validate-config", "--config", written]) == 0
+    assert main(["run", "--config", written, "--output-dir", str(second)]) == 0
+    capsys.readouterr()
+    assert os.listdir(second) == [run_dir]
+    files = sorted(os.listdir(first / run_dir))
+    assert files == sorted(os.listdir(second / run_dir))
+    assert len(files) == 4
+    for name in files:
+        assert (first / run_dir / name).read_bytes() == (second / run_dir / name).read_bytes()
+
+
 def test_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {**CONFIG, "plugin": 5})
     assert main(["validate-config", "--config", path]) == 1

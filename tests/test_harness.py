@@ -19,6 +19,7 @@ from akwinfer import models, recipes
 from akwinfer import simharness as sh
 from akwinfer.random_scaling import assemble_v, scaling_ci
 import reference as kw
+import artifact_digest
 from reference import HessianAccumulator, ScalingAccumulator, hessian_entry_block, scaling_update
 
 
@@ -107,11 +108,17 @@ def test_a_numeric_name_is_spelled_as_str_spells_it():
     assert sh.config_from_dict(small_raw(name=7.5)).name == "7.5"
 
 
-@pytest.mark.parametrize("model", [{"theta": []}, {"dim": 0}], ids=["theta", "dim"])
-def test_a_zero_dimensional_model_is_a_model_violation(model):
+# The direction law needs the model's dimension, so a model that is not built
+# leaves it unchecked: the model's violation is the only one.
+@pytest.mark.parametrize(
+    "model, text",
+    [({"theta": []}, "nonempty"), ({"dim": 0}, "nonempty"), ({"dim": -1}, "model.dim")],
+    ids=["theta", "dim", "negative-dim"],
+)
+def test_a_zero_dimensional_model_is_a_model_violation(model, text):
     cfg, diags = sh.parse_config(small_raw(model=dict(model, family="linear")))
-    assert cfg is None
-    assert any(d.startswith("model: ") and "nonempty" in d for d in diags), diags
+    assert cfg is None and len(diags) == 1, diags
+    assert diags[0].startswith("model: ") and text in diags[0], diags
 
 
 def test_algorithm_is_an_unknown_key():
@@ -352,6 +359,72 @@ def test_recipes_are_frozen():
     assert len(pairs) == 27
     digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
     assert digest == "597c8a1e78bde6f9ae742cf694a81e8d075d18fdc867326c2f7f3b4718f551bf"
+
+
+# A written config.resolved.json is a valid input that names the same run.
+def test_a_resolved_config_parses_back_to_the_same_hash():
+    raws = [artifact_digest.configs()]
+    for name in recipes.recipe_names():
+        raw = recipes.get_recipe(name)
+        raws.append(raw if isinstance(raw, list) else [raw])
+    configs = [sh.config_from_dict(r) for r in itertools.chain(*raws)]
+    assert len(configs) == 27 + 191
+    for cfg in configs:
+        back = sh.config_from_dict(json.loads(json.dumps(cfg.resolved())))
+        assert back.config_hash == cfg.config_hash, cfg.name
+
+
+# The parser reads each section's keys that resolved() writes, plus the
+# seeded shorthands, so a key added to only one side fails here.
+def test_parsed_keys_are_the_resolved_keys():
+    resolved = sh.config_from_dict(small_raw()).resolved()
+    shorthands = {"model": {"dim", "theta_seed"}, "directions": {"basis_seed"}}
+    for section, (_, types) in sh._SECTIONS.items():
+        assert set(types) == set(resolved[section]) | shorthands.get(section, set())
+    assert sh._TOP.keys() | sh._SECTIONS.keys() == resolved.keys()
+
+
+def _orthonormal(**directions):
+    return small_raw(directions={"kind": "orthonormal", **directions})
+
+
+def test_directions_basis_is_the_orthonormal_basis():
+    u = dirs.random_orthonormal(2, 3)
+    cfg = sh.config_from_dict(_orthonormal(basis=u.tolist(), m=2))
+    assert np.array_equal(cfg.dist.u, u)
+    assert cfg.config_hash == sh.config_from_dict(_orthonormal(basis_seed=3, m=2)).config_hash
+
+
+def test_basis_and_basis_seed_are_one_violation():
+    cfg, diags = sh.parse_config(_orthonormal(basis=np.eye(2).tolist(), basis_seed=3))
+    assert cfg is None
+    assert diags == ["directions: give directions.basis or directions.basis_seed, not both"]
+
+
+@pytest.mark.parametrize(
+    "basis, text",
+    [
+        ([[1.0, 0.0], [0.0]], "directions.basis rows must all have one length"),
+        (5, "directions.basis must be a list of lists of numbers"),
+        ([1.0, 0.0], "directions.basis row must be a list of numbers"),
+        ([[1.0, "0"], [0.0, 1.0]], "directions.basis row entry must be a number"),
+        ([[1.0, True], [0.0, 1.0]], "directions.basis row entry must be a number"),
+    ],
+    ids=["ragged", "not-a-list", "row-not-a-list", "string-entry", "bool-entry"],
+)
+def test_a_bad_basis_is_a_violation_naming_its_key(basis, text):
+    cfg, diags = sh.parse_config(_orthonormal(basis=basis))
+    assert cfg is None and len(diags) == 1, diags
+    assert diags[0].startswith(f"directions: {text}"), diags
+
+
+@pytest.mark.parametrize("kind", ["canonical", "spherical", "gaussian"])
+def test_a_basis_is_only_for_the_orthonormal_kind(kind):
+    cfg, diags = sh.parse_config(
+        small_raw(directions={"kind": kind, "basis": np.eye(2).tolist()})
+    )
+    assert cfg is None
+    assert diags == ["directions: basis matrix only valid for kind 'orthonormal'"]
 
 
 def test_config_hash_ignores_dict_order_but_not_values():
