@@ -318,8 +318,9 @@ _CONVERT = {
     "int | None": lambda v, key: None if v is None else _integer(v, key),
 }
 
-# A value that did not convert and whose default is to be absent, so that
-# there is no default to take: a section given one is not built
+# A value that a section needs and does not have: one that did not convert
+# and whose default is to be absent, or the directions' unbuilt model. A
+# section given one is not built.
 _MISSING = object()
 
 
